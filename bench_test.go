@@ -139,6 +139,36 @@ func BenchmarkFigure6(b *testing.B) {
 
 // --- micro-benchmarks of the substrate ---
 
+// BenchmarkHandoff measures the bare scheduler ↔ goroutine round trip,
+// the first rung of the cost ladder: one op is one dispatch, in which the
+// scheduler loop switches into a goroutine and the goroutine hands the
+// processor straight back. Two goroutines wake each other with Ready and
+// park with Block, which take explicit sites, so no caller capture, no
+// tracing and no preemption noise is timed along with the switch.
+func BenchmarkHandoff(b *testing.B) {
+	b.ReportAllocs()
+	r := goat.Run(goat.Options{NoTrace: true, PreemptProb: -1, MaxSteps: b.N + 16}, func(g *goat.G) {
+		done := false
+		peer := g.Go("peer", func(c *goat.G) {
+			for {
+				c.Ready(g, 0, nil)
+				c.Block(trace.BlockRecv, 0, "", 0)
+				if done {
+					return
+				}
+			}
+		})
+		for i := 0; i < b.N; i += 2 {
+			g.Block(trace.BlockRecv, 0, "", 0)
+			g.Ready(peer, 0, nil)
+		}
+		done = true
+	})
+	if r.Outcome != goat.OutcomeOK || r.Steps < b.N {
+		b.Fatalf("outcome %v after %d dispatches, want OK after >= %d", r.Outcome, r.Steps, b.N)
+	}
+}
+
 // BenchmarkSchedulerSpawnJoin measures raw virtual-runtime throughput.
 func BenchmarkSchedulerSpawnJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -120,7 +120,11 @@ func (d *LeakStream) reset() {
 }
 
 // Event implements trace.Sink.
-func (d *LeakStream) Event(e trace.Event) {
+func (d *LeakStream) Event(e trace.Event) { d.event(&e) }
+
+// event is the shared body of Event and EventBatch; it takes the event
+// by pointer so batches are consumed in place, without a copy per event.
+func (d *LeakStream) event(e *trace.Event) {
 	d.events++
 	switch e.Type {
 	case trace.EvGoCreate:
@@ -174,7 +178,7 @@ func (d *LeakStream) Event(e trace.Event) {
 // EventBatch implements trace.BatchSink.
 func (d *LeakStream) EventBatch(evs []trace.Event) {
 	for i := range evs {
-		d.Event(evs[i])
+		d.event(&evs[i])
 	}
 }
 

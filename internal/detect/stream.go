@@ -125,7 +125,11 @@ func (d *GoatStream) EnableEarlyStop() { d.earlyStop = true }
 func (d *GoatStream) StopRequested() bool { return d.earlyStop && d.panicSeen }
 
 // Event implements trace.Sink.
-func (d *GoatStream) Event(e trace.Event) {
+func (d *GoatStream) Event(e trace.Event) { d.event(&e) }
+
+// event is the shared body of Event and EventBatch; it takes the event
+// by pointer so batches are consumed in place, without a copy per event.
+func (d *GoatStream) event(e *trace.Event) {
 	if d.err != "" {
 		return
 	}
@@ -156,7 +160,7 @@ func (d *GoatStream) Event(e trace.Event) {
 // emission block instead of per event. The block is not retained.
 func (d *GoatStream) EventBatch(evs []trace.Event) {
 	for i := range evs {
-		d.Event(evs[i])
+		d.event(&evs[i])
 	}
 }
 
@@ -298,10 +302,15 @@ func (d *LockDLStream) addEdge(from, to trace.ResID) {
 	}
 }
 
-// Event implements trace.Sink. Blocked acquisitions record lock-order
-// edges at the attempt, not only at the (possibly never-happening)
-// acquisition — this is how LockDL warns before the deadlock bites.
-func (d *LockDLStream) Event(e trace.Event) {
+// Event implements trace.Sink.
+func (d *LockDLStream) Event(e trace.Event) { d.event(&e) }
+
+// event is the shared body of Event and EventBatch; it takes the event
+// by pointer so batches are consumed in place, without a copy per event.
+// Blocked acquisitions record lock-order edges at the attempt, not only
+// at the (possibly never-happening) acquisition — this is how LockDL
+// warns before the deadlock bites.
+func (d *LockDLStream) event(e *trace.Event) {
 	d.events++
 	if d.warn != "" {
 		return // first warning wins, like the post-hoc scan's early return
@@ -364,7 +373,7 @@ func (d *LockDLStream) Event(e trace.Event) {
 // EventBatch implements trace.BatchSink.
 func (d *LockDLStream) EventBatch(evs []trace.Event) {
 	for i := range evs {
-		d.Event(evs[i])
+		d.event(&evs[i])
 	}
 }
 

@@ -99,7 +99,9 @@ func Source(version int) trace.SourceInfo {
 	return trace.SourceInfo{Name: fmt.Sprintf("native go1.%d", version), Caps: Caps}
 }
 
-// Parse converts a native execution trace read from r.
+// Parse converts a native execution trace read from r. A returned trace
+// always passes trace.Validate; input that converts to anything else is
+// rejected with an error.
 func Parse(r io.Reader) (*Run, error) {
 	w, err := parseWire(r)
 	if err != nil {
@@ -116,6 +118,12 @@ func Parse(r io.Reader) (*Run, error) {
 	c.convert()
 	if c.out.Len() == 0 {
 		return nil, fmt.Errorf("ingest: trace contains no convertible goroutine events")
+	}
+	// Corrupt or adversarial input can decode into events that violate
+	// the ECT invariants (a GoStart with no goroutine); downstream
+	// analyses assume them, so such a capture is an error, not a report.
+	if err := c.out.Validate(); err != nil {
+		return nil, fmt.Errorf("ingest: converted trace is invalid: %w", err)
 	}
 
 	nsPerTick := w.freq // freq field already stores ns per tick

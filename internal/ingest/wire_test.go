@@ -60,9 +60,32 @@ func TestParseWireCorruptionRobustness(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		// A parse that survives corruption must still convert safely.
-		_, _ = Parse(bytes.NewReader(mut))
+		// A parse that survives corruption must still convert safely,
+		// and any trace it returns must be valid.
+		if r, err := Parse(bytes.NewReader(mut)); err == nil {
+			if verr := r.Trace.Validate(); verr != nil {
+				t.Fatalf("flip at %d: Parse returned an invalid trace: %v", i, verr)
+			}
+		}
 		_ = w
+	}
+}
+
+// TestParseRejectsInvalidConversion pins a 27-byte input whose wire
+// format decodes cleanly but converts to a GoStart with no goroutine:
+// Parse must report an error instead of returning a trace that fails
+// Validate.
+func TestParseRejectsInvalidConversion(t *testing.T) {
+	input := "go 1.22 trace\x00\x00\x00\b0\x010000.0\x000"
+	if len(input) != 27 {
+		t.Fatalf("reproducer is %d bytes, want 27", len(input))
+	}
+	r, err := Parse(strings.NewReader(input))
+	if err == nil {
+		t.Fatalf("Parse accepted the input; Validate says: %v", r.Trace.Validate())
+	}
+	if !strings.Contains(err.Error(), "invalid") {
+		t.Errorf("err = %v, want the validation failure", err)
 	}
 }
 

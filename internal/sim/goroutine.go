@@ -48,7 +48,7 @@ type G struct {
 
 	state  State
 	reason trace.BlockReason // valid while StateBlocked
-	resume chan struct{}
+	host   *host             // coroutine running this goroutine; nil once it ended
 
 	createFile string
 	createLine int

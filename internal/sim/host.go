@@ -1,44 +1,53 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 
 	"goat/internal/trace"
 )
 
-// A host is a parked real goroutine that lends its stack to simulated
-// goroutines, one at a time. Launching a fresh runtime goroutine (and
-// growing its stack) for every simulated goroutine dominated
-// service-shaped workloads, where a single run creates hundreds of
-// thousands of short-lived handlers; pooling keeps grown stacks warm
-// across simulated lifetimes and across runs. A host serves exactly one
-// simulated goroutine at a time and hands the processor through the same
-// resume/handoff ping-pong as before, so the scheduling discipline and
-// every recorded schedule are untouched.
+// A host is a coroutine that lends its stack to simulated goroutines, one
+// at a time. The scheduler switches into it with next and the simulated
+// goroutine switches back out with yield (iter.Pull's runtime coroutine
+// switch), so control moves between the two on one OS thread and no
+// other thread is woken. Because a switch transfers control, exactly one
+// simulated goroutine runs at any moment by construction.
+//
+// Hosts are pooled: service-shaped workloads create hundreds of
+// thousands of short-lived handlers per run, and a pooled host keeps its
+// grown stack warm across simulated lifetimes and across runs (a fresh
+// coroutine per goroutine made a campaign cell about 3x slower). A host
+// serves one simulated goroutine from its first dispatch to its end, then
+// parks in a final yield until the scheduler either hands it the next
+// goroutine or stops it.
 type host struct {
-	resume chan struct{}
-	jobs   chan hostJob
-}
+	next  func() (bool, bool) // switch in; the first result reports that the goroutine ended
+	stop  func()              // unwind a host parked between goroutines
+	yield func(bool) bool     // switch out; the argument reports that the goroutine ended
 
-type hostJob struct {
 	g  *G
 	fn func(*G)
 }
 
 // hostFree is the global pool of parked hosts. It is a plain mutex-held
 // list rather than a sync.Pool: dropping a host object would strand its
-// parked goroutine forever, so hosts must only leave the pool by being
-// handed a job or by an explicit exit when the pool is full.
+// parked coroutine forever, so hosts leave the pool only by being handed
+// a goroutine or by an explicit stop when the pool is full.
 var hostFree struct {
 	sync.Mutex
 	list []*host
 }
 
-// hostFreeCap bounds the parked-host pool; a release beyond it lets the
-// host exit so idle processes do not pin stacks without bound.
+// hostFreeCap bounds the parked-host pool; a host released beyond it is
+// stopped so idle processes do not pin stacks without bound.
 const hostFreeCap = 4096
 
+// getHost takes a parked host from the pool, or starts a new one. A new
+// coroutine does not run until its first next.
 func getHost() *host {
 	hostFree.Lock()
 	if n := len(hostFree.list); n > 0 {
@@ -49,36 +58,45 @@ func getHost() *host {
 		return h
 	}
 	hostFree.Unlock()
-	h := &host{resume: make(chan struct{}), jobs: make(chan hostJob, 1)}
-	go h.loop()
+	h := &host{}
+	h.next, h.stop = iter.Pull(h.serve)
 	return h
 }
 
-func (h *host) loop() {
-	for job := range h.jobs {
-		job.run()
-		hostFree.Lock()
-		if len(hostFree.list) < hostFreeCap {
-			hostFree.list = append(hostFree.list, h)
-			hostFree.Unlock()
-			continue
-		}
+// putHost returns a host whose goroutine has ended to the pool. Only the
+// scheduler that switched into the host calls it, after next has
+// returned: the host itself must never re-pool, because another
+// scheduler could take it and resume it before its final yield.
+func putHost(h *host) {
+	hostFree.Lock()
+	if len(hostFree.list) < hostFreeCap {
+		hostFree.list = append(hostFree.list, h)
 		hostFree.Unlock()
 		return
 	}
+	hostFree.Unlock()
+	h.stop()
 }
 
-// run hosts one simulated goroutine from its first dispatch to its end.
-// The body is exactly the per-goroutine wrapper spawn used to launch; it
-// must not touch the job's G after the final handoff send, because the
-// scheduler may recycle the G (and this host may be reassigned) the
-// moment the send completes.
-func (j hostJob) run() {
-	g := j.g
+// serve is the coroutine body: it runs the assigned goroutine to its end,
+// reports the end with a final yield, and loops when the scheduler hands
+// it the next goroutine. It returns when the host is stopped.
+func (h *host) serve(yield func(bool) bool) {
+	h.yield = yield
+	for {
+		runG(h.g, h.fn)
+		h.g, h.fn = nil, nil
+		if !yield(true) {
+			return
+		}
+	}
+}
+
+// runG runs one simulated goroutine from its first dispatch to its end.
+// A goroutine first dispatched by stopWorld never starts.
+func runG(g *G, fn func(*G)) {
 	s := g.s
-	<-g.resume
 	if s.stopping {
-		s.handoff <- struct{}{}
 		return
 	}
 	g.state = StateRunning
@@ -86,7 +104,6 @@ func (j hostJob) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isStop := r.(stopSignal); isStop {
-				s.handoff <- struct{}{}
 				return
 			}
 			g.state = StatePanicked
@@ -94,12 +111,30 @@ func (j hostJob) run() {
 			s.panicVal = r
 			s.panicG = g.id
 			s.Emit(trace.Event{G: g.id, Type: trace.EvGoPanic, Str: fmt.Sprint(r)})
-			s.handoff <- struct{}{}
 			return
 		}
 		g.state = StateDone
 		s.Emit(trace.Event{G: g.id, Type: trace.EvGoEnd})
-		s.handoff <- struct{}{}
 	}()
-	j.fn(g)
+	fn(g)
+}
+
+// switchTo runs g until it leaves the processor. When g has ended, its
+// host goes back to the pool.
+func (s *Scheduler) switchTo(g *G) {
+	h := g.host
+	if ended, _ := h.next(); ended {
+		g.host = nil
+		putHost(h)
+	}
+}
+
+// leaveProcessor parks the calling goroutine until the scheduler dispatches
+// it again, panicking with stopSignal if the world stopped meanwhile.
+func (g *G) leaveProcessor() {
+	g.host.yield(false)
+	if g.s.stopping {
+		panic(stopSignal{})
+	}
+	g.state = StateRunning
 }

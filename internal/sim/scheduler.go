@@ -14,10 +14,13 @@ import (
 type stopSignal struct{}
 
 // Scheduler is the virtual runtime: it owns all simulated goroutines and
-// hands the single logical processor from one to the next. Exactly one
-// simulated goroutine runs at any moment (strict ping-pong with the
-// scheduler loop), so all scheduler and primitive state is mutated without
-// locks and every run is deterministic for a fixed seed.
+// hands the single logical processor from one to the next. Each simulated
+// goroutine runs on a coroutine (see host.go): the scheduler loop switches
+// into it and it switches back when it leaves the processor. A switch
+// transfers control rather than signalling it, so exactly one of the
+// scheduler loop and the simulated goroutines runs at any moment, all
+// scheduler and primitive state is mutated without locks, and every run is
+// deterministic for a fixed seed.
 type Scheduler struct {
 	opts Options
 	prng prng
@@ -27,12 +30,9 @@ type Scheduler struct {
 	// dense, allocated from 1 in creation order). Only the first ng
 	// entries belong to the current run; the rest are recycled structs
 	// kept warm for the next one.
-	gs      []*G
-	ng      int
-	runq    []*G
-	current *G
-
-	handoff chan struct{} // running goroutine -> scheduler: "I left the processor"
+	gs   []*G
+	ng   int
+	runq []*G
 
 	clock     int64 // logical timestamp source for trace events
 	now       int64 // virtual time (nanoseconds) for timers
@@ -88,13 +88,12 @@ var schedPool sync.Pool
 func newScheduler(opts Options) *Scheduler {
 	s, _ := schedPool.Get().(*Scheduler)
 	if s == nil {
-		s = &Scheduler{handoff: make(chan struct{})}
+		s = &Scheduler{}
 	}
 	s.opts = opts
 	s.prng.seed(opts.Seed)
 	s.ng = 0
 	s.runq = s.runq[:0]
-	s.current = nil
 	s.clock, s.now = 0, 0
 	s.steps, s.ops, s.sliceOps = 0, 0, 0
 	s.yieldLeft = opts.Delays
@@ -172,7 +171,7 @@ func newScheduler(opts Options) *Scheduler {
 // slices, schedule log) is detached first so reuse cannot alias it.
 func (s *Scheduler) release() {
 	for _, g := range s.gs[:s.ng] {
-		g.resume = nil
+		g.host = nil
 		g.wakeNote = nil
 	}
 	s.ect = nil
@@ -335,13 +334,13 @@ func (s *Scheduler) newG(name string, parent trace.GoID, system bool, file strin
 	return g
 }
 
-// spawn hands a simulated goroutine to a pooled host goroutine and puts
-// it on the run queue. The host waits for the first dispatch before
-// emitting GoStart and calling fn (see host.go).
+// spawn binds a simulated goroutine to a pooled host coroutine and puts
+// it on the run queue. Nothing runs until the first dispatch switches into
+// the host, which then emits GoStart and calls fn (see host.go).
 func (s *Scheduler) spawn(g *G, fn func(*G)) {
 	h := getHost()
-	g.resume = h.resume
-	h.jobs <- hostJob{g: g, fn: fn}
+	h.g, h.fn = g, fn
+	g.host = h
 	s.runq = append(s.runq, g)
 }
 
@@ -371,18 +370,6 @@ func (g *G) GoSystem(name string, fn func(*G)) *G {
 	g.s.Emit(trace.Event{G: g.id, Type: trace.EvGoCreate, Peer: child.id, Aux: 1, File: file, Line: line, Str: name})
 	g.s.spawn(child, fn)
 	return child
-}
-
-// leaveProcessor parks the calling goroutine until the scheduler dispatches
-// it again, panicking with stopSignal if the world stopped meanwhile.
-func (g *G) leaveProcessor() {
-	g.s.current = nil
-	g.s.handoff <- struct{}{}
-	<-g.resume
-	if g.s.stopping {
-		panic(stopSignal{})
-	}
-	g.state = StateRunning
 }
 
 // Block parks g with the given reason, emitting EvGoBlock attributed to the
@@ -428,8 +415,8 @@ func (g *G) yield(ev trace.Type, file string, line int) {
 	g.s.Emit(trace.Event{G: g.id, Type: ev, File: file, Line: line})
 	if g.s.fastRedispatch() {
 		// Nothing else is runnable: the scheduler loop would redispatch
-		// this goroutine immediately, so skip the two rendezvous and
-		// continue in place. fastRedispatch performed the loop's
+		// this goroutine immediately, so skip the two coroutine switches
+		// and continue in place. fastRedispatch performed the loop's
 		// bookkeeping, so schedules, scripts and budgets are identical.
 		g.state = StateRunning
 		return
@@ -590,10 +577,7 @@ func (s *Scheduler) pick() *G {
 func (s *Scheduler) dispatch(g *G) {
 	s.steps++
 	s.sliceOps = 0
-	s.current = g
-	g.resume <- struct{}{}
-	<-s.handoff
-	s.current = nil
+	s.switchTo(g)
 }
 
 // Run executes main under a fresh scheduler and returns the classified
@@ -693,16 +677,16 @@ func (s *Scheduler) classify(mainG *G) Outcome {
 }
 
 // stopWorld unwinds every goroutine still parked so no simulated
-// goroutines stay live across simulations (their hosts re-park into the
-// pool).
+// goroutines stay live across simulations: each is switched into once
+// more, unwinds through the stopSignal panic (or, if never started, does
+// not start), and its host returns to the pool.
 func (s *Scheduler) stopWorld() {
 	s.stopping = true
 	for _, g := range s.gs[:s.ng] {
 		if g.state == StateDone || g.state == StatePanicked {
 			continue
 		}
-		g.resume <- struct{}{}
-		<-s.handoff
+		s.switchTo(g)
 	}
 }
 

@@ -42,7 +42,9 @@ func (t *Trace) Validate() error {
 	windowed := !t.SourceInfo().Has(CapCreateObserved)
 	created := map[GoID]bool{1: true} // main goroutine exists implicitly
 	started := map[GoID]bool{}
-	for i, e := range t.Events {
+	var known GoID // last goroutine found in created; creation is never undone
+	for i := range t.Events {
+		e := &t.Events[i]
 		if !e.Type.Valid() {
 			return fmt.Errorf("trace: event %d has invalid type %d", i, e.Type)
 		}
@@ -65,13 +67,16 @@ func (t *Trace) Validate() error {
 		if windowed && e.Type == EvGoStart {
 			created[e.G] = true
 		}
-		if !created[e.G] {
-			return fmt.Errorf("trace: event %d (%s) by g%d before its creation", i, e.Type, e.G)
-		}
-		if started[e.G] && e.Type == EvGoStart {
-			return fmt.Errorf("trace: goroutine g%d started twice", e.G)
+		if e.G != known {
+			if !created[e.G] {
+				return fmt.Errorf("trace: event %d (%s) by g%d before its creation", i, e.Type, e.G)
+			}
+			known = e.G
 		}
 		if e.Type == EvGoStart {
+			if started[e.G] {
+				return fmt.Errorf("trace: goroutine g%d started twice", e.G)
+			}
 			started[e.G] = true
 		}
 	}

@@ -54,6 +54,16 @@ func TestValidateRejectsDoubleCreate(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsDoubleStart(t *testing.T) {
+	tr := New(3)
+	tr.Append(Event{Ts: 1, G: 1, Type: EvGoStart})
+	tr.Append(Event{Ts: 2, G: 1, Type: EvGoSched})
+	tr.Append(Event{Ts: 3, G: 1, Type: EvGoStart})
+	if err := tr.Validate(); err == nil {
+		t.Fatal("double start accepted")
+	}
+}
+
 func TestValidateRejectsInvalidType(t *testing.T) {
 	tr := New(1)
 	tr.Append(Event{Ts: 1, G: 1, Type: evMax})
