@@ -461,6 +461,19 @@ func BenchmarkHBEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkHBDeps measures the DPOR dependence view: a Must-mode replay
+// of the same trace as BenchmarkHBEngine that keeps every event's clock.
+func BenchmarkHBDeps(b *testing.B) {
+	k, _ := goker.ByID("etcd_7443")
+	r := goker.Run(k, sim.Options{Seed: 1, Delays: 2})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := hb.BuildDeps(r.Trace, hb.Must); d.Len() == 0 {
+			b.Fatal("empty dependence view")
+		}
+	}
+}
+
 // BenchmarkPredictMine measures mining one passing D=0 trace for
 // predicted hazards (the cmd/goat -predict path).
 func BenchmarkPredictMine(b *testing.B) {

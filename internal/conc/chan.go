@@ -84,7 +84,7 @@ func NewChan[T any](g *sim.G, capacity int) *Chan[T] {
 		panic("conc: negative channel capacity")
 	}
 	c := &Chan[T]{core: &chanCore{id: g.Sched().NewResID(), cap: capacity}}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanMake, Res: c.core.id, Aux: int64(capacity), File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanMake, Res: c.core.id, Aux: int64(capacity), File: file, Line: line})
 	return c
 }
 
@@ -104,7 +104,7 @@ func (c *Chan[T]) Len(g *sim.G) int {
 	file, line := sim.Caller(1)
 	g.HandlerCat(trace.CatChannel, file, line)
 	n := len(c.core.buf)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvVarRead, Res: c.core.id, Aux: int64(n), File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvVarRead, Res: c.core.id, Aux: int64(n), File: file, Line: line})
 	return n
 }
 
@@ -197,12 +197,12 @@ func (cc *chanCore) send(g *sim.G, v any, block bool, file string, line int) (co
 	if w := cc.popRecv(); w != nil {
 		w.val, w.ok = v, true
 		g.Ready(w.g, cc.id, nil)
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanSend, Res: cc.id, Peer: w.g.ID(), Aux: aux, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanSend, Res: cc.id, Peer: w.g.ID(), Aux: aux, File: file, Line: line})
 		return true
 	}
 	if len(cc.buf) < cc.cap {
 		cc.buf = append(cc.buf, v)
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanSend, Res: cc.id, Aux: aux, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanSend, Res: cc.id, Aux: aux, File: file, Line: line})
 		return true
 	}
 	if !block {
@@ -214,7 +214,7 @@ func (cc *chanCore) send(g *sim.G, v any, block bool, file string, line int) (co
 	if w.closed {
 		panic("send on closed channel")
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanSend, Res: cc.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanSend, Res: cc.id, Blocked: true, File: file, Line: line})
 	return true
 }
 
@@ -230,17 +230,17 @@ func (cc *chanCore) recv(g *sim.G, block bool, file string, line int) (v any, ok
 			g.Ready(w.g, cc.id, nil)
 			peer = w.g.ID()
 		}
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Peer: peer, Aux: 1, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Peer: peer, Aux: 1, File: file, Line: line})
 		return v, true, true
 	}
 	if w := cc.popSend(); w != nil {
 		v = w.val
 		g.Ready(w.g, cc.id, nil)
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Peer: w.g.ID(), Aux: 1, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Peer: w.g.ID(), Aux: 1, File: file, Line: line})
 		return v, true, true
 	}
 	if cc.closed {
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Aux: 0, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Aux: 0, File: file, Line: line})
 		return nil, false, true
 	}
 	if !block {
@@ -253,7 +253,7 @@ func (cc *chanCore) recv(g *sim.G, block bool, file string, line int) (v any, ok
 	if w.ok {
 		okAux = 1
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Blocked: true, Aux: okAux, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanRecv, Res: cc.id, Blocked: true, Aux: okAux, File: file, Line: line})
 	return w.val, w.ok, true
 }
 
@@ -289,7 +289,7 @@ func (cc *chanCore) closeCore(g *sim.G, file string, line int) {
 		}
 		woken++
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvChanClose, Res: cc.id, Peer: firstPeer, Aux: woken, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvChanClose, Res: cc.id, Peer: firstPeer, Aux: woken, File: file, Line: line})
 }
 
 // Send transmits v, blocking until a receiver (or buffer space) is ready.

@@ -31,7 +31,7 @@ func (c *Cond) Wait(g *sim.G) {
 	c.waitq = append(c.waitq, g)
 	c.l.unlockAt(g, file, line)
 	g.Block(trace.BlockCond, c.id, file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvCondWait, Res: c.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvCondWait, Res: c.id, Blocked: true, File: file, Line: line})
 	c.l.lockAt(g, file, line)
 }
 
@@ -46,7 +46,7 @@ func (c *Cond) Signal(g *sim.G) {
 		g.Ready(w, c.id, nil)
 		peer = w.ID()
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvCondSignal, Res: c.id, Peer: peer, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvCondSignal, Res: c.id, Peer: peer, File: file, Line: line})
 }
 
 // Broadcast wakes every waiter.
@@ -62,5 +62,5 @@ func (c *Cond) Broadcast(g *sim.G) {
 		}
 	}
 	c.waitq = nil
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvCondBroadcast, Res: c.id, Peer: first, Aux: n, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvCondBroadcast, Res: c.id, Peer: first, Aux: n, File: file, Line: line})
 }

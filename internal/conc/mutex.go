@@ -42,13 +42,13 @@ func (m *Mutex) lockAt(g *sim.G, file string, line int) {
 	if !m.locked {
 		m.locked = true
 		m.holder = g.ID()
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: m.id, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: m.id, File: file, Line: line})
 		return
 	}
 	m.waitq = append(m.waitq, g)
 	g.Block(trace.BlockMutex, m.id, file, line)
 	// The unlocker transferred ownership to us before waking us.
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: m.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: m.id, Blocked: true, File: file, Line: line})
 }
 
 // TryLock attempts to acquire the mutex without blocking.
@@ -60,7 +60,7 @@ func (m *Mutex) TryLock(g *sim.G) bool {
 	}
 	m.locked = true
 	m.holder = g.ID()
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: m.id, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: m.id, File: file, Line: line})
 	return true
 }
 
@@ -80,10 +80,10 @@ func (m *Mutex) unlockAt(g *sim.G, file string, line int) {
 		m.waitq = m.waitq[1:]
 		m.holder = next.ID() // direct handoff keeps the lock held
 		g.Ready(next, m.id, nil)
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexUnlock, Res: m.id, Peer: next.ID(), File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexUnlock, Res: m.id, Peer: next.ID(), File: file, Line: line})
 		return
 	}
 	m.locked = false
 	m.holder = 0
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexUnlock, Res: m.id, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexUnlock, Res: m.id, File: file, Line: line})
 }

@@ -40,16 +40,16 @@ func (o *Once) Do(g *sim.G, f func()) {
 	g.Handler(file, line)
 	switch o.state {
 	case onceDone:
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvOnceDo, Res: o.id, Aux: 0, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvOnceDo, Res: o.id, Aux: 0, File: file, Line: line})
 		return
 	case onceRunning:
 		o.waitq = append(o.waitq, g)
 		g.Block(trace.BlockSync, o.id, file, line)
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvOnceDo, Res: o.id, Aux: 0, Blocked: true, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvOnceDo, Res: o.id, Aux: 0, Blocked: true, File: file, Line: line})
 		return
 	}
 	o.state = onceRunning
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvOnceDo, Res: o.id, Aux: 1, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvOnceDo, Res: o.id, Aux: 1, File: file, Line: line})
 	defer func() {
 		o.state = onceDone
 		for _, w := range o.waitq {

@@ -31,12 +31,12 @@ func (m *RWMutex) Lock(g *sim.G) {
 	if !m.writer && m.readers == 0 && len(m.wWaitq) == 0 {
 		m.writer = true
 		m.wHolder = g.ID()
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvRWLock, Res: m.id, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvRWLock, Res: m.id, File: file, Line: line})
 		return
 	}
 	m.wWaitq = append(m.wWaitq, g)
 	g.Block(trace.BlockMutex, m.id, file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvRWLock, Res: m.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvRWLock, Res: m.id, Blocked: true, File: file, Line: line})
 }
 
 // Unlock releases the write lock.
@@ -49,7 +49,7 @@ func (m *RWMutex) Unlock(g *sim.G) {
 	m.writer = false
 	m.wHolder = 0
 	peer := m.release(g)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvRWUnlock, Res: m.id, Peer: peer, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvRWUnlock, Res: m.id, Peer: peer, File: file, Line: line})
 }
 
 // RLock acquires a read lock.
@@ -58,12 +58,12 @@ func (m *RWMutex) RLock(g *sim.G) {
 	g.Handler(file, line)
 	if !m.writer && len(m.wWaitq) == 0 {
 		m.readers++
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvRLock, Res: m.id, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvRLock, Res: m.id, File: file, Line: line})
 		return
 	}
 	m.rWaitq = append(m.rWaitq, g)
 	g.Block(trace.BlockRMutex, m.id, file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvRLock, Res: m.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvRLock, Res: m.id, Blocked: true, File: file, Line: line})
 }
 
 // RUnlock releases a read lock.
@@ -78,7 +78,7 @@ func (m *RWMutex) RUnlock(g *sim.G) {
 	if m.readers == 0 {
 		peer = m.release(g)
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvRUnlock, Res: m.id, Peer: peer, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvRUnlock, Res: m.id, Peer: peer, File: file, Line: line})
 }
 
 // release hands the lock to waiters: one writer first, else all readers.

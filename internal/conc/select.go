@@ -125,13 +125,13 @@ func Select(g *sim.G, cases []Case, hasDefault bool) (idx int, recv any, ok bool
 		} else {
 			recv, ok, peer = execRecv(g, c.core)
 		}
-		s.Emit(trace.Event{G: g.ID(), Type: trace.EvSelect, Aux: int64(idx), File: file, Line: line})
-		s.Emit(trace.Event{G: g.ID(), Type: trace.EvSelectCase, Res: c.core.id, Aux: int64(idx), Peer: peer, Str: dirStr, File: file, Line: line})
+		s.Emit(&trace.Event{G: g.ID(), Type: trace.EvSelect, Aux: int64(idx), File: file, Line: line})
+		s.Emit(&trace.Event{G: g.ID(), Type: trace.EvSelectCase, Res: c.core.id, Aux: int64(idx), Peer: peer, Str: dirStr, File: file, Line: line})
 		return idx, recv, ok
 	}
 
 	if hasDefault {
-		s.Emit(trace.Event{G: g.ID(), Type: trace.EvSelect, Aux: DefaultIdx, File: file, Line: line})
+		s.Emit(&trace.Event{G: g.ID(), Type: trace.EvSelect, Aux: DefaultIdx, File: file, Line: line})
 		return DefaultIdx, nil, false
 	}
 
@@ -180,7 +180,7 @@ func Select(g *sim.G, cases []Case, hasDefault bool) (idx int, recv any, ok bool
 	} else {
 		recv, ok = winner.val, winner.ok
 	}
-	s.Emit(trace.Event{G: g.ID(), Type: trace.EvSelect, Aux: int64(idx), Blocked: true, File: file, Line: line})
-	s.Emit(trace.Event{G: g.ID(), Type: trace.EvSelectCase, Res: c.core.id, Aux: int64(idx), Blocked: true, Str: dirStr, File: file, Line: line})
+	s.Emit(&trace.Event{G: g.ID(), Type: trace.EvSelect, Aux: int64(idx), Blocked: true, File: file, Line: line})
+	s.Emit(&trace.Event{G: g.ID(), Type: trace.EvSelectCase, Res: c.core.id, Aux: int64(idx), Blocked: true, Str: dirStr, File: file, Line: line})
 	return idx, recv, ok
 }

@@ -31,12 +31,12 @@ func (s *Semaphore) Acquire(g *sim.G) {
 	g.Handler(file, line)
 	if s.held < s.cap {
 		s.held++
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: s.id, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: s.id, File: file, Line: line})
 		return
 	}
 	s.waitq = append(s.waitq, g)
 	g.Block(trace.BlockSync, s.id, file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: s.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexLock, Res: s.id, Blocked: true, File: file, Line: line})
 }
 
 // Release returns a permit, handing it directly to the first waiter.
@@ -55,5 +55,5 @@ func (s *Semaphore) Release(g *sim.G) {
 	} else {
 		s.held--
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvMutexUnlock, Res: s.id, Peer: peer, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvMutexUnlock, Res: s.id, Peer: peer, File: file, Line: line})
 }

@@ -32,7 +32,7 @@ func (s *Shared[T]) Name() string { return s.name }
 func (s *Shared[T]) Load(g *sim.G) T {
 	file, line := sim.Caller(1)
 	g.Handler(file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvVarRead, Res: s.id, Str: s.name, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvVarRead, Res: s.id, Str: s.name, File: file, Line: line})
 	return s.v
 }
 
@@ -40,7 +40,7 @@ func (s *Shared[T]) Load(g *sim.G) T {
 func (s *Shared[T]) Store(g *sim.G, v T) {
 	file, line := sim.Caller(1)
 	g.Handler(file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvVarWrite, Res: s.id, Str: s.name, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvVarWrite, Res: s.id, Str: s.name, File: file, Line: line})
 	s.v = v
 }
 
@@ -49,9 +49,9 @@ func (s *Shared[T]) Store(g *sim.G, v T) {
 func (s *Shared[T]) Update(g *sim.G, f func(T) T) T {
 	file, line := sim.Caller(1)
 	g.Handler(file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvVarRead, Res: s.id, Str: s.name, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvVarRead, Res: s.id, Str: s.name, File: file, Line: line})
 	v := f(s.v)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvVarWrite, Res: s.id, Str: s.name, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvVarWrite, Res: s.id, Str: s.name, File: file, Line: line})
 	s.v = v
 	return v
 }

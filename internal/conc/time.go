@@ -29,7 +29,7 @@ func Sleep(g *sim.G, d Duration) {
 	s := g.Sched()
 	s.AddTimer(s.Now()+d, g)
 	g.Block(trace.BlockSleep, 0, file, line)
-	s.Emit(trace.Event{G: g.ID(), Type: trace.EvSleep, Aux: d, File: file, Line: line})
+	s.Emit(&trace.Event{G: g.ID(), Type: trace.EvSleep, Aux: d, File: file, Line: line})
 }
 
 // After returns a channel that delivers the virtual wake-up time once d has

@@ -52,7 +52,7 @@ func (wg *WaitGroup) addAt(g *sim.G, delta int, file string, line int) {
 		}
 		wg.waitq = nil
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvWgAdd, Res: wg.id, Aux: int64(delta), Peer: first, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvWgAdd, Res: wg.id, Aux: int64(delta), Peer: first, File: file, Line: line})
 }
 
 // Wait parks until the counter reaches zero.
@@ -60,10 +60,10 @@ func (wg *WaitGroup) Wait(g *sim.G) {
 	file, line := sim.Caller(1)
 	g.Handler(file, line)
 	if wg.count == 0 {
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvWgWait, Res: wg.id, File: file, Line: line})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvWgWait, Res: wg.id, File: file, Line: line})
 		return
 	}
 	wg.waitq = append(wg.waitq, g)
 	g.Block(trace.BlockWaitGroup, wg.id, file, line)
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvWgWait, Res: wg.id, Blocked: true, File: file, Line: line})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvWgWait, Res: wg.id, Blocked: true, File: file, Line: line})
 }

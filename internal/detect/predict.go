@@ -146,13 +146,13 @@ type condCand struct {
 
 // chanInfo aggregates the per-channel operation census.
 type chanInfo struct {
-	hardSends   int
-	hardRecvs   int
-	selSends    int
-	selRecvs    int
-	closed      bool
-	sendSite    string // first unconditional send site, for reports
-	opsBy       map[trace.GoID]bool
+	hardSends int
+	hardRecvs int
+	selSends  int
+	selRecvs  int
+	closed    bool
+	sendSite  string // first unconditional send site, for reports
+	opsBy     map[trace.GoID]bool
 }
 
 // chanLockRec records a channel operation performed under a held lock.
@@ -257,9 +257,7 @@ func (s *PredictStream) Event(e trace.Event) {
 // member streams in one dispatch each.
 func (s *PredictStream) EventBatch(evs []trace.Event) {
 	s.goat.EventBatch(evs)
-	for i := range evs {
-		s.en.Event(evs[i])
-	}
+	s.en.EventBatch(evs)
 }
 
 // Close implements trace.Sink.
@@ -288,7 +286,7 @@ func (s *PredictStream) recordAcq(res trace.ResID, g trace.GoID, mode lockMode, 
 
 // addEdges records one lock-order edge per currently-held lock, plus the
 // re-entry record when the goroutine already holds the acquired lock.
-func (s *PredictStream) addEdges(e trace.Event, mode lockMode, vc hb.VC) {
+func (s *PredictStream) addEdges(e *trace.Event, mode lockMode, vc hb.VC) {
 	hs := s.held[e.G]
 	for h, hMode := range hs {
 		if h == e.Res {
@@ -320,7 +318,7 @@ func (s *PredictStream) addEdges(e trace.Event, mode lockMode, vc hb.VC) {
 
 // chanOp records a channel operation: the census plus, when performed
 // under held locks, the chan-under-lock evidence.
-func (s *PredictStream) chanOp(e trace.Event, vc hb.VC) {
+func (s *PredictStream) chanOp(e *trace.Event, vc hb.VC) {
 	ci := s.chanOf(e.Res)
 	ci.opsBy[e.G] = true
 	for lock := range s.held[e.G] {
@@ -337,7 +335,7 @@ func (s *PredictStream) chanOp(e trace.Event, vc hb.VC) {
 
 // observe is the hb.Engine observer: every clock-ticking event with the
 // acting goroutine's must-clock.
-func (s *PredictStream) observe(e trace.Event, vc hb.VC) {
+func (s *PredictStream) observe(e *trace.Event, vc hb.VC) {
 	switch e.Type {
 	case trace.EvGoBlock:
 		switch e.BlockReason() {

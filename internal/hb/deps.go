@@ -77,7 +77,7 @@ func Dependent(a, b trace.Event) bool {
 type Deps struct {
 	Mode      Mode
 	Events    []trace.Event
-	Clocks    []VC // post-edge clock per event; nil for scheduling noise
+	Clocks    []VC // post-edge clock per event, indexed by the replay's slots; nil for scheduling noise
 	Footprint uint64
 
 	// statusIdx/statusOn are per-goroutine enabledness change points, in
@@ -100,11 +100,12 @@ func BuildDeps(tr *trace.Trace, mode Mode) *Deps {
 	}
 	d.Events = tr.Events
 	d.Clocks = make([]VC, len(tr.Events))
+	var arena []int64 // backs every per-event clock; see keep
 	en := NewEngine(mode)
-	for i, e := range tr.Events {
-		en.Event(e)
-		if relevant(e.Type) {
-			d.Clocks[i] = en.ClockOf(e.G).Clone()
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		if vc := en.event(e); vc != nil {
+			d.Clocks[i] = keep(&arena, vc)
 		}
 		d.recordStatus(i, e)
 	}
@@ -113,7 +114,7 @@ func BuildDeps(tr *trace.Trace, mode Mode) *Deps {
 }
 
 // recordStatus folds one event into the enabledness timeline.
-func (d *Deps) recordStatus(i int, e trace.Event) {
+func (d *Deps) recordStatus(i int, e *trace.Event) {
 	switch e.Type {
 	case trace.EvGoCreate:
 		d.mark(i, e.Peer, true) // child runnable from creation

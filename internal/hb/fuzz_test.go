@@ -1,20 +1,15 @@
 package hb
 
-import (
-	"testing"
-
-	"goat/internal/trace"
-)
+import "testing"
 
 // decodeVCs deterministically builds three clocks from fuzz input: each
-// byte contributes one (goroutine, time) entry, cycling through the three
-// clocks. Small universes force comparable, equal and concurrent pairs.
+// byte contributes one (slot, time) entry, cycling through the three
+// clocks. Small universes force comparable, equal and concurrent pairs;
+// clocks of different lengths exercise the missing-entry-is-zero rule.
 func decodeVCs(data []byte) [3]VC {
-	out := [3]VC{{}, {}, {}}
+	var out [3]VC
 	for i, b := range data {
-		g := trace.GoID(1 + (b>>4)&0x3)
-		t := int64(b & 0xf)
-		out[i%3][g] = t
+		setVC(&out[i%3], int(b>>4)&0x3, int64(b&0xf))
 	}
 	return out
 }
@@ -31,9 +26,13 @@ func FuzzVCLaws(f *testing.F) {
 		a, b, c := vcs[0], vcs[1], vcs[2]
 
 		// Clone independence.
+		orig := decodeVCs(data)[0] // built independently of a
 		cl := a.Clone()
 		cl.Join(VC{99: 1})
-		if _, ok := a[99]; ok {
+		for i := range cl {
+			cl[i]++
+		}
+		if len(a) != len(orig) || !vcEqual(a, orig) {
 			t.Fatal("Clone aliases the receiver")
 		}
 

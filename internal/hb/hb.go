@@ -40,36 +40,48 @@
 package hb
 
 import (
+	"math/bits"
 	"sort"
 
 	"goat/internal/trace"
 )
 
-// VC is a vector clock mapping goroutine to logical time.
-type VC map[trace.GoID]int64
+// VC is a dense vector clock: entry i is the logical time of the
+// goroutine an Engine assigned slot i, and an entry past the end counts
+// as 0. Slots are handed out in order of first appearance, so a clock's
+// length is bounded by the number of goroutines the engine has seen, not
+// by the size of their IDs (native captures carry raw runtime goids).
+// Clocks from different engines are not comparable slot by slot; Graph
+// compares them by goroutine.
+type VC []int64
 
 // Clone returns an independent copy of the clock.
-func (v VC) Clone() VC {
-	out := make(VC, len(v))
-	for g, t := range v {
-		out[g] = t
-	}
-	return out
-}
+func (v VC) Clone() VC { return append(VC(nil), v...) }
 
-// Join folds other into v (pointwise max).
-func (v VC) Join(other VC) {
-	for g, t := range other {
-		if t > v[g] {
-			v[g] = t
+// Join folds other into v (pointwise max), growing v when other covers
+// more slots.
+func (v *VC) Join(other VC) {
+	if n := len(other) - len(*v); n > 0 {
+		*v = append(*v, make(VC, n)...)
+	}
+	w := (*v)[:len(other)]
+	for i, t := range other {
+		if t > w[i] {
+			w[i] = t
 		}
 	}
 }
 
 // Leq reports whether v happens-before-or-equals other (pointwise ≤).
 func (v VC) Leq(other VC) bool {
-	for g, t := range v {
-		if t > other[g] {
+	n := min(len(v), len(other))
+	for i, t := range v[:n] {
+		if t > other[i] {
+			return false
+		}
+	}
+	for _, t := range v[n:] {
+		if t > 0 {
 			return false
 		}
 	}
@@ -108,10 +120,18 @@ const (
 )
 
 // Engine is the streaming happens-before engine. The zero value is not
-// usable; construct with NewEngine. It implements trace.Sink.
+// usable; construct with NewEngine. It implements trace.Sink and
+// trace.BatchSink.
+//
+// Every goroutine gets a dense slot the first time the engine sees it
+// (as actor or as peer); slot i's clock is clocks[i], and goids[i] names
+// its goroutine. Clock memory therefore grows with the number of
+// goroutines, whatever their IDs.
 type Engine struct {
 	mode   Mode
-	clocks map[trace.GoID]VC
+	slot   map[trace.GoID]int32 // goroutine → slot
+	goids  []trace.GoID         // slot → goroutine
+	clocks []VC                 // slot → live clock; Reset keeps the backing arrays
 
 	lockVC  map[trace.ResID]VC   // released-lock clocks (Full mode)
 	closeVC map[trace.ResID]VC   // channel-close clocks
@@ -122,18 +142,27 @@ type Engine struct {
 	events    int
 	footprint uint64
 
+	// cur holds the event Event was handed: the observer borrows a
+	// pointer to it, and a pointer to the parameter would move every
+	// event to the heap.
+	cur trace.Event
+
 	// Observer, when set before streaming, is called for every
 	// clock-ticking event after its edges have been applied, with the
-	// acting goroutine's current clock. The clock is borrowed: observers
-	// that keep it must Clone.
-	Observer func(e trace.Event, vc VC)
+	// acting goroutine's current clock. Both are borrowed: observers
+	// that keep them must copy the event and Clone the clock. Clocks are
+	// indexed by this engine's slots, so an observer may compare the
+	// clocks it keeps with each other but with no other engine's.
+	Observer func(e *trace.Event, vc VC)
 }
 
 // NewEngine returns an empty engine in the given mode.
 func NewEngine(mode Mode) *Engine {
 	return &Engine{
 		mode:    mode,
-		clocks:  map[trace.GoID]VC{},
+		slot:    map[trace.GoID]int32{},
+		goids:   make([]trace.GoID, 0, clockBlock),
+		clocks:  make([]VC, 0, clockBlock),
 		lockVC:  map[trace.ResID]VC{},
 		closeVC: map[trace.ResID]VC{},
 		sendVC:  map[trace.ResID][]VC{},
@@ -143,9 +172,12 @@ func NewEngine(mode Mode) *Engine {
 }
 
 // Reset returns the engine to its initial state (keeping its mode and
-// observer), so a campaign can recycle one engine across executions.
+// observer), so a campaign can recycle one engine across executions. The
+// goroutine clocks' backing arrays are kept for the next execution.
 func (en *Engine) Reset() {
-	clear(en.clocks)
+	clear(en.slot)
+	en.goids = en.goids[:0]
+	en.clocks = en.clocks[:0]
 	clear(en.lockVC)
 	clear(en.closeVC)
 	clear(en.sendVC)
@@ -159,16 +191,39 @@ func (en *Engine) Reset() {
 func (en *Engine) Events() int { return en.events }
 
 // ClockOf returns the live clock of g (borrowed — Clone to keep).
-func (en *Engine) ClockOf(g trace.GoID) VC { return en.clockOf(g) }
+func (en *Engine) ClockOf(g trace.GoID) VC { return en.clocks[en.slotOf(g)] }
 
-func (en *Engine) clockOf(g trace.GoID) VC {
-	if c, ok := en.clocks[g]; ok {
-		return c
+// slotOf returns g's slot, assigning the next one, with a zero clock
+// that covers it, the first time g is seen.
+func (en *Engine) slotOf(g trace.GoID) int {
+	if s, ok := en.slot[g]; ok {
+		return int(s)
 	}
-	c := VC{}
-	en.clocks[g] = c
-	return c
+	s := len(en.goids)
+	en.slot[g] = int32(s)
+	en.goids = append(en.goids, g)
+	if s < cap(en.clocks) {
+		en.clocks = en.clocks[:s+1] // a clock left behind by Reset
+	} else {
+		en.clocks = append(en.clocks, nil)
+	}
+	if vc := en.clocks[s]; cap(vc) > s {
+		vc = vc[:s+1]
+		clear(vc)
+		en.clocks[s] = vc
+	} else {
+		// Rounded up to whole blocks, so the joins that follow do not
+		// grow a clock one slot at a time, while a trace with thousands
+		// of goroutines pays fewer than clockBlock spare words per clock.
+		en.clocks[s] = make(VC, s+1, (s+clockBlock)&^(clockBlock-1))
+	}
+	return s
 }
+
+// clockBlock is the capacity unit of a new goroutine clock (a power of
+// two): most executions have a handful of goroutines, and their clocks
+// then never reallocate.
+const clockBlock = 8
 
 // relevant reports whether the event type participates in the
 // happens-before relation. Pure scheduling noise does not: a forced or
@@ -188,23 +243,45 @@ func (en *Engine) markKind(res trace.ResID, k resKind) {
 // Event implements trace.Sink: tick the acting goroutine's clock, apply
 // the event's synchronization edges, fold the event into the footprint.
 func (en *Engine) Event(e trace.Event) {
-	if !relevant(e.Type) {
-		return
+	en.cur = e
+	en.event(&en.cur)
+}
+
+// EventBatch implements trace.BatchSink, walking the block in place.
+func (en *Engine) EventBatch(evs []trace.Event) {
+	for i := range evs {
+		en.event(&evs[i])
 	}
-	vc := en.clockOf(e.G)
-	vc[e.G]++
+}
+
+// event is the per-event body shared by Event and EventBatch. It returns
+// the acting goroutine's post-edge clock (borrowed), or nil for
+// scheduling noise.
+func (en *Engine) event(e *trace.Event) VC {
+	if !relevant(e.Type) {
+		return nil
+	}
+	// Clocks are addressed through en.clocks[s] throughout: assigning a
+	// peer its slot may move the slice of clocks.
+	s := en.slotOf(e.G)
+	en.clocks[s][s]++
 
 	switch e.Type {
 	case trace.EvGoCreate:
-		child := vc.Clone()
-		child[e.Peer] = child[e.Peer] + 1
-		en.clocks[e.Peer] = child
+		c := en.slotOf(e.Peer)
+		child := append(en.clocks[c][:0], en.clocks[s]...)
+		if n := c + 1 - len(child); n > 0 {
+			child = append(child, make(VC, n)...)
+		}
+		child[c]++
+		en.clocks[c] = child
 	case trace.EvGoUnblock:
 		if e.Peer != 0 && e.Peer != e.G {
 			if en.mode == Must && en.kinds[e.Res] == kindLock {
 				break // lock handoff: schedule-induced, not a must edge
 			}
-			en.clockOf(e.Peer).Join(vc)
+			p := en.slotOf(e.Peer)
+			en.clocks[p].Join(en.clocks[s])
 		}
 	case trace.EvGoBlock:
 		switch e.BlockReason() {
@@ -214,7 +291,7 @@ func (en *Engine) Event(e trace.Event) {
 			// emitted after it wakes, too late for FIFO alignment.
 			en.markKind(e.Res, kindChan)
 			if e.Res != 0 {
-				en.sendVC[e.Res] = append(en.sendVC[e.Res], vc.Clone())
+				en.sendVC[e.Res] = append(en.sendVC[e.Res], en.clocks[s].Clone())
 			}
 		case trace.BlockRecv:
 			en.markKind(e.Res, kindChan)
@@ -233,7 +310,7 @@ func (en *Engine) Event(e trace.Event) {
 		// pushed their clock at park time.
 		en.markKind(e.Res, kindChan)
 		if !e.Blocked && e.Peer == 0 && e.Res != 0 {
-			en.sendVC[e.Res] = append(en.sendVC[e.Res], vc.Clone())
+			en.sendVC[e.Res] = append(en.sendVC[e.Res], en.clocks[s].Clone())
 		}
 	case trace.EvChanRecv:
 		// A receiver that parked got its value by direct delivery and
@@ -248,13 +325,13 @@ func (en *Engine) Event(e trace.Event) {
 		}
 		if !e.Blocked && e.Aux == 1 {
 			if q := en.sendVC[e.Res]; len(q) > 0 {
-				vc.Join(q[0])
+				en.clocks[s].Join(q[0])
 				en.sendVC[e.Res] = q[1:]
 			}
 		}
 		if e.Aux == 0 { // receive observed the close
 			if cvc, ok := en.closeVC[e.Res]; ok {
-				vc.Join(cvc)
+				en.clocks[s].Join(cvc)
 			}
 		}
 	case trace.EvSelectCase:
@@ -265,62 +342,58 @@ func (en *Engine) Event(e trace.Event) {
 			break
 		}
 		if e.Str == "send" && e.Peer == 0 {
-			en.sendVC[e.Res] = append(en.sendVC[e.Res], vc.Clone())
+			en.sendVC[e.Res] = append(en.sendVC[e.Res], en.clocks[s].Clone())
 		}
 		if e.Str == "recv" {
 			if q := en.sendVC[e.Res]; len(q) > 0 {
-				vc.Join(q[0])
+				en.clocks[s].Join(q[0])
 				en.sendVC[e.Res] = q[1:]
 			}
 		}
 	case trace.EvChanClose:
 		en.markKind(e.Res, kindChan)
 		if e.Res != 0 {
-			en.closeVC[e.Res] = vc.Clone()
+			en.closeVC[e.Res] = en.clocks[s].Clone()
 		}
 	case trace.EvMutexUnlock, trace.EvRWUnlock, trace.EvRUnlock:
 		en.markKind(e.Res, kindLock)
 		if en.mode == Must || e.Res == 0 {
 			break
 		}
-		acc, ok := en.lockVC[e.Res]
-		if !ok {
-			acc = VC{}
-			en.lockVC[e.Res] = acc
-		}
-		acc.Join(vc)
+		acc := en.lockVC[e.Res]
+		acc.Join(en.clocks[s])
+		en.lockVC[e.Res] = acc
 	case trace.EvMutexLock, trace.EvRWLock, trace.EvRLock:
 		en.markKind(e.Res, kindLock)
 		if en.mode == Must || e.Res == 0 {
 			break
 		}
 		if acc, ok := en.lockVC[e.Res]; ok {
-			vc.Join(acc)
+			en.clocks[s].Join(acc)
 		}
 	case trace.EvWgAdd:
 		en.markKind(e.Res, kindWg)
 		if e.Aux < 0 && e.Res != 0 {
-			acc, ok := en.wgVC[e.Res]
-			if !ok {
-				acc = VC{}
-				en.wgVC[e.Res] = acc
-			}
-			acc.Join(vc)
+			acc := en.wgVC[e.Res]
+			acc.Join(en.clocks[s])
+			en.wgVC[e.Res] = acc
 		}
 	case trace.EvWgWait:
 		en.markKind(e.Res, kindWg)
 		if acc, ok := en.wgVC[e.Res]; e.Res != 0 && ok {
-			vc.Join(acc)
+			en.clocks[s].Join(acc)
 		}
 	case trace.EvCondWait, trace.EvCondSignal, trace.EvCondBroadcast:
 		en.markKind(e.Res, kindCond)
 	}
 
+	vc := en.clocks[s]
 	en.events++
-	en.footprint += eventHash(e, vc)
+	en.footprint += en.eventHash(e, vc)
 	if en.Observer != nil {
 		en.Observer(e, vc)
 	}
+	return vc
 }
 
 // Close implements trace.Sink.
@@ -340,51 +413,105 @@ func (en *Engine) Footprint() uint64 { return en.footprint }
 // of a stream: the final clock of every goroutine plus the footprint.
 type Graph struct {
 	Mode      Mode
-	Clocks    map[trace.GoID]VC
+	Slots     []trace.GoID // slot → goroutine, in order of first appearance
+	Clocks    []VC         // final clock of Slots[i]'s goroutine, indexed by slot
 	Events    int
 	Footprint uint64
 }
 
 // Snapshot clones the engine state into a Graph.
 func (en *Engine) Snapshot() *Graph {
+	n := 0
+	for _, vc := range en.clocks {
+		n += len(vc)
+	}
+	arena := make([]int64, 0, n)
 	g := &Graph{
 		Mode:      en.mode,
-		Clocks:    make(map[trace.GoID]VC, len(en.clocks)),
+		Slots:     append([]trace.GoID(nil), en.goids...),
+		Clocks:    make([]VC, len(en.clocks)),
 		Events:    en.events,
 		Footprint: en.footprint,
 	}
-	for id, vc := range en.clocks {
-		g.Clocks[id] = vc.Clone()
+	for i, vc := range en.clocks {
+		g.Clocks[i] = keep(&arena, vc)
 	}
 	return g
 }
 
+// keep appends a copy of v to the arena and returns it with its capacity
+// capped, so growing the copy later can never overwrite its neighbour.
+// One arena backs many clocks, so a snapshot or a per-event clock table
+// costs a few allocations instead of one per clock. When the arena is
+// full, keep starts a new chunk twice the size of the last one (up to
+// maxChunk words) and leaves the old one to the clocks cut from it:
+// nothing is copied twice, and no chunk is sized by a guess at the
+// trace's goroutine count.
+func keep(arena *[]int64, v VC) VC {
+	if cap(*arena)-len(*arena) < len(v) {
+		*arena = make([]int64, 0, max(len(v), min(2*cap(*arena), maxChunk), minChunk))
+	}
+	a := len(*arena)
+	*arena = append(*arena, v...)
+	return (*arena)[a:len(*arena):len(*arena)]
+}
+
+// Arena chunk bounds, in words.
+const (
+	minChunk = 64
+	maxChunk = 1 << 16
+)
+
 // Goroutines returns the goroutines of the snapshot in sorted order.
 func (g *Graph) Goroutines() []trace.GoID {
-	out := make([]trace.GoID, 0, len(g.Clocks))
-	for id := range g.Clocks {
-		out = append(out, id)
-	}
+	out := append([]trace.GoID(nil), g.Slots...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Equal reports whether two snapshots carry identical clocks, event
-// counts and footprints.
+// counts and footprints. Clocks are compared by goroutine, not by slot:
+// two engines that met the same goroutines in another order are equal.
 func (g *Graph) Equal(o *Graph) bool {
-	if g.Events != o.Events || g.Footprint != o.Footprint || len(g.Clocks) != len(o.Clocks) {
+	if g.Events != o.Events || g.Footprint != o.Footprint || len(g.Slots) != len(o.Slots) {
 		return false
 	}
-	for id, vc := range g.Clocks {
-		ovc, ok := o.Clocks[id]
-		if !ok || len(vc) != len(ovc) {
+	oslot := make(map[trace.GoID]int, len(o.Slots))
+	for i, id := range o.Slots {
+		oslot[id] = i
+	}
+	for i, id := range g.Slots {
+		j, ok := oslot[id]
+		if !ok {
 			return false
 		}
-		if !vc.Leq(ovc) || !ovc.Leq(vc) {
+		a, b := g.Clocks[i], o.Clocks[j]
+		if nonzero(a) != nonzero(b) {
 			return false
+		}
+		for s, t := range a {
+			if t == 0 {
+				continue
+			}
+			// Every goroutine of g has a slot in o: the slot sets have
+			// equal size and each of g's was found above.
+			if k := oslot[g.Slots[s]]; k >= len(b) || b[k] != t {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// nonzero counts the clock's non-zero entries.
+func nonzero(v VC) int {
+	n := 0
+	for _, t := range v {
+		if t != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // FromTrace replays a buffered trace through a fresh engine and returns
@@ -392,11 +519,7 @@ func (g *Graph) Equal(o *Graph) bool {
 func FromTrace(tr *trace.Trace, mode Mode) *Graph {
 	en := NewEngine(mode)
 	if tr != nil {
-		// Concrete-typed loop rather than tr.Replay(en): the devirtualized
-		// Event call keeps the per-event path allocation-free.
-		for _, e := range tr.Events {
-			en.Event(e)
-		}
+		en.EventBatch(tr.Events)
 	}
 	return en.Snapshot()
 }
@@ -417,49 +540,58 @@ func mix(x uint64) uint64 {
 	return x
 }
 
+// Word-chain constants (the xxHash64 primes).
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	prime1 = 0x9e3779b185ebca87
+	prime2 = 0xc2b2ae3d27d4eb4f
 )
 
-func fnvMix(h uint64, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
+// fold absorbs one 64-bit word into a running hash (an xxHash64 round).
+func fold(h, w uint64) uint64 {
+	return bits.RotateLeft64(h+w*prime2, 31) * prime1
 }
 
-func fnvStr(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
+// foldStr absorbs a string eight bytes at a time, its length first so
+// adjacent strings cannot trade bytes.
+func foldStr(h uint64, s string) uint64 {
+	h = fold(h, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = fold(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := 0; i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h = fold(h, w)
 	}
 	return h
 }
 
 // eventHash folds one event and its post-edge clock into a single
 // order-independent contribution. The logical timestamp is excluded (it
-// encodes the total order); the clock itself is hashed commutatively
-// because map iteration order is unspecified.
-func eventHash(e trace.Event, vc VC) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvMix(h, uint64(e.G))
-	h = fnvMix(h, uint64(e.Type))
-	h = fnvMix(h, uint64(e.Res))
-	h = fnvMix(h, uint64(e.Peer))
-	h = fnvMix(h, uint64(e.Aux))
+// encodes the total order). The clock is hashed by goroutine ID, not by
+// slot, and its entries are summed, skipping zeros: slot order records
+// which goroutine the engine met first, so two HB-equivalent traces may
+// lay out the same clock in different slots.
+func (en *Engine) eventHash(e *trace.Event, vc VC) uint64 {
+	h := fold(prime1, uint64(e.G))
+	h = fold(h, uint64(e.Peer))
+	h = fold(h, uint64(e.Res))
+	h = fold(h, uint64(e.Aux))
+	kind := uint64(e.Type) | uint64(e.Line)<<9
 	if e.Blocked {
-		h = fnvMix(h, 1)
+		kind |= 1 << 8
 	}
-	h = fnvStr(h, e.File)
-	h = fnvMix(h, uint64(e.Line))
-	h = fnvStr(h, e.Str)
+	h = fold(h, kind)
+	h = foldStr(h, e.File)
+	h = foldStr(h, e.Str)
 	var cl uint64
-	for g, t := range vc {
-		cl += mix(uint64(g)*0x9e3779b97f4a7c15 ^ uint64(t))
+	for i, t := range vc {
+		if t != 0 {
+			cl += mix(uint64(en.goids[i])*0x9e3779b97f4a7c15 ^ uint64(t))
+		}
 	}
-	h = fnvMix(h, cl)
-	return mix(h)
+	return mix(h ^ cl)
 }

@@ -7,18 +7,55 @@ import (
 	"goat/internal/trace"
 )
 
-// randVC draws a random clock over a small goroutine universe so that
-// comparable and incomparable pairs both occur often.
+// randVC draws a random clock over a small slot universe so that
+// comparable and incomparable pairs both occur often. Lengths vary, so
+// the missing-entry-is-zero rule is exercised on every law.
 func randVC(rng *rand.Rand) VC {
-	v := VC{}
+	var v VC
 	n := rng.Intn(5)
 	for i := 0; i < n; i++ {
-		v[trace.GoID(1+rng.Intn(4))] = int64(rng.Intn(6))
+		setVC(&v, rng.Intn(4), int64(rng.Intn(6)))
 	}
 	return v
 }
 
-func vcEqual(a, b VC) bool { return a.Leq(b) && b.Leq(a) }
+// setVC sets entry i of a clock, growing it as needed.
+func setVC(v *VC, i int, t int64) {
+	if i >= len(*v) {
+		*v = append(*v, make(VC, i+1-len(*v))...)
+	}
+	(*v)[i] = t
+}
+
+// vcEqual compares two clocks entry by entry, a missing entry being 0.
+// It is written independently of Leq so the antisymmetry law below is
+// not a tautology.
+func vcEqual(a, b VC) bool {
+	for i := 0; i < max(len(a), len(b)); i++ {
+		var x, y int64
+		if i < len(a) {
+			x = a[i]
+		}
+		if i < len(b) {
+			y = b[i]
+		}
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// timeOf returns goroutine of's clock entry for goroutine at, read
+// through the engine's slot table.
+func timeOf(en *Engine, of, at trace.GoID) int64 {
+	vc := en.ClockOf(of)
+	s, ok := en.slot[at]
+	if !ok || int(s) >= len(vc) {
+		return 0
+	}
+	return vc[s]
+}
 
 // TestVCLaws checks the algebraic laws of the vector-clock lattice on a
 // seeded random sample: join is commutative, idempotent and monotone,
@@ -86,16 +123,24 @@ func TestCloneNeverAliases(t *testing.T) {
 	a := VC{1: 3, 2: 5}
 	b := a.Clone()
 	b[1] = 99
-	b[7] = 1
+	b.Join(VC{7: 1})
 	if a[1] != 3 {
 		t.Fatalf("clone aliased the original: %v", a)
 	}
-	if _, ok := a[7]; ok {
-		t.Fatalf("clone write leaked into original: %v", a)
+	if len(a) != 3 {
+		t.Fatalf("clone growth leaked into original: %v", a)
 	}
 	a.Join(VC{9: 9})
-	if _, ok := b[9]; ok {
+	if len(b) != 8 || b[7] != 1 {
 		t.Fatalf("original join leaked into clone: %v", b)
+	}
+	// A clock cut from a shared arena must not grow into its neighbour.
+	var arena []int64
+	x := keep(&arena, VC{1, 2})
+	y := keep(&arena, VC{3, 4})
+	x.Join(VC{0, 0, 7})
+	if y[0] != 3 || x[2] != 7 {
+		t.Fatalf("arena clock grew into its neighbour: x=%v y=%v", x, y)
 	}
 }
 
@@ -108,7 +153,7 @@ func TestEngineProgramOrder(t *testing.T) {
 	en := NewEngine(Full)
 	en.Event(ev(1, trace.EvChanMake, 1))
 	en.Event(ev(1, trace.EvUserLog, 0))
-	if got := en.ClockOf(1)[1]; got != 2 {
+	if got := timeOf(en, 1, 1); got != 2 {
 		t.Fatalf("program order: clock[1] = %d, want 2", got)
 	}
 	if en.Events() != 2 {
@@ -125,7 +170,7 @@ func TestEngineGoCreateEdge(t *testing.T) {
 	if !parent.Leq(child) {
 		t.Fatalf("parent clock %v not ≤ child clock %v", parent, child)
 	}
-	if child[2] == 0 {
+	if timeOf(en, 2, 2) == 0 {
 		t.Fatalf("child did not get its own component: %v", child)
 	}
 }
@@ -281,7 +326,7 @@ func TestFootprintOrderIndependent(t *testing.T) {
 func TestEngineResetAndReuse(t *testing.T) {
 	en := NewEngine(Full)
 	var observed int
-	en.Observer = func(trace.Event, VC) { observed++ }
+	en.Observer = func(*trace.Event, VC) { observed++ }
 	en.Event(ev(1, trace.EvChanMake, 1))
 	first := en.Snapshot()
 	en.Reset()
@@ -326,5 +371,98 @@ func TestGraphGoroutinesSorted(t *testing.T) {
 	gs := en.Snapshot().Goroutines()
 	if len(gs) != 3 || gs[0] != 1 || gs[1] != 2 || gs[2] != 3 {
 		t.Fatalf("Goroutines() = %v, want [1 2 3]", gs)
+	}
+}
+
+// TestClockLengthBoundedByGoroutines pins the dense representation:
+// native captures carry raw runtime goids, and a clock must grow with
+// the number of goroutines the engine has seen, not with their IDs.
+func TestClockLengthBoundedByGoroutines(t *testing.T) {
+	const big = trace.GoID(1) << 40
+	en := NewEngine(Full)
+	en.Event(ev(1, trace.EvChanMake, 7))
+	en.Event(trace.Event{G: 1, Type: trace.EvGoCreate, Peer: big})
+	en.Event(trace.Event{G: big, Type: trace.EvChanSend, Res: 7})
+	en.Event(trace.Event{G: 1, Type: trace.EvChanRecv, Res: 7, Aux: 1})
+	en.Event(trace.Event{G: big, Type: trace.EvGoUnblock, Peer: 1, Res: 7})
+	seen := len(en.goids)
+	if seen != 2 {
+		t.Fatalf("engine saw %d goroutines, want 2", seen)
+	}
+	for _, g := range []trace.GoID{1, big} {
+		if n := len(en.ClockOf(g)); n > seen {
+			t.Fatalf("clock of g%d has %d entries for %d goroutines", g, n, seen)
+		}
+	}
+	if timeOf(en, 1, big) == 0 || timeOf(en, big, 1) == 0 {
+		t.Fatal("edges between g1 and the large goid were lost")
+	}
+	for _, vc := range en.Snapshot().Clocks {
+		if len(vc) > seen {
+			t.Fatalf("snapshot clock %v longer than %d goroutines", vc, seen)
+		}
+	}
+}
+
+// TestFanOutClockSpare pins the spare capacity of clocks on a trace with
+// many goroutines: a dense clock already costs one word per goroutine
+// seen, so a new clock is rounded up to a block, never doubled, and the
+// per-event clocks BuildDeps keeps carry no spare at all.
+func TestFanOutClockSpare(t *testing.T) {
+	const n = 1000
+	tr := &trace.Trace{}
+	for c := trace.GoID(2); c < n+2; c++ {
+		tr.Events = append(tr.Events,
+			trace.Event{G: 1, Type: trace.EvGoCreate, Peer: c},
+			trace.Event{G: c, Type: trace.EvGoStart},
+			trace.Event{G: c, Type: trace.EvGoEnd})
+	}
+	en := NewEngine(Must)
+	en.EventBatch(tr.Events)
+	for s, vc := range en.clocks {
+		if cap(vc)-len(vc) >= clockBlock {
+			t.Fatalf("clock of slot %d: len %d cap %d, more than a block spare", s, len(vc), cap(vc))
+		}
+	}
+	d := BuildDeps(tr, Must)
+	for i, vc := range d.Clocks {
+		if cap(vc) != len(vc) {
+			t.Fatalf("event %d clock: len %d cap %d", i, len(vc), cap(vc))
+		}
+	}
+}
+
+// TestFootprintIndependentOfSlotOrder replays a window-style capture in
+// which two pre-existing, unrelated goroutines first appear in either
+// order: their slots swap, but the footprint hashes clocks by goroutine
+// and must not change. (A native window has no create events for
+// goroutines that started before the capture.)
+func TestFootprintIndependentOfSlotOrder(t *testing.T) {
+	a := []trace.Event{
+		{G: 41, Type: trace.EvGoStart},
+		{G: 41, Type: trace.EvChanSend, Res: 3},
+		{G: 41, Type: trace.EvGoBlock, Res: 3, Aux: int64(trace.BlockSend)},
+	}
+	b := []trace.Event{
+		{G: 1 << 33, Type: trace.EvGoStart},
+		{G: 1 << 33, Type: trace.EvMutexLock, Res: 9},
+		{G: 1 << 33, Type: trace.EvGoBlock, Res: 8, Aux: int64(trace.BlockRecv)},
+	}
+	for _, mode := range []Mode{Full, Must} {
+		first := traceOf(append(append([]trace.Event{}, a...), b...)...)
+		second := traceOf(append(append([]trace.Event{}, b...), a...)...)
+		ga, gb := FromTrace(first, mode), FromTrace(second, mode)
+		if ga.Slots[0] == gb.Slots[0] {
+			t.Fatalf("mode %d: slot order did not change: %v vs %v", mode, ga.Slots, gb.Slots)
+		}
+		if ga.Footprint != gb.Footprint {
+			t.Fatalf("mode %d: slot order changed the footprint: %x vs %x", mode, ga.Footprint, gb.Footprint)
+		}
+		if !ga.Equal(gb) {
+			t.Fatalf("mode %d: graphs differ across slot orders", mode)
+		}
+		if BuildDeps(first, mode).Footprint != ga.Footprint {
+			t.Fatalf("mode %d: BuildDeps and FromTrace footprints differ", mode)
+		}
 	}
 }

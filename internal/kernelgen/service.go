@@ -251,7 +251,7 @@ func (p *ServiceProg) mark(g *sim.G, marker string, r int) {
 	if !p.Timeline {
 		return
 	}
-	g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvUserLog, Str: marker, Aux: int64(r)})
+	g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvUserLog, Str: marker, Aux: int64(r)})
 }
 
 // maybePlant strands one leak group when request r is a planting point.

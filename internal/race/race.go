@@ -106,7 +106,7 @@ func (c *checker) report(res trace.ResID, a, b access) {
 // observe is the hb.Engine observer: it sees every clock-ticking event
 // with the acting goroutine's post-edge clock and records Shared-cell
 // accesses.
-func (c *checker) observe(e trace.Event, vc hb.VC) {
+func (c *checker) observe(e *trace.Event, vc hb.VC) {
 	switch e.Type {
 	case trace.EvVarRead:
 		a := access{g: e.G, write: false, file: e.File, line: e.Line, name: e.Str, ts: e.Ts, vc: vc.Clone()}
@@ -140,9 +140,7 @@ func Check(tr *trace.Trace) []Race {
 	c := newChecker()
 	en := hb.NewEngine(hb.Full)
 	en.Observer = c.observe
-	for _, e := range tr.Events {
-		en.Event(e)
-	}
+	en.EventBatch(tr.Events)
 	sort.Slice(c.races, func(i, j int) bool { return c.races[i].Second.Ts < c.races[j].Second.Ts })
 	return c.races
 }

@@ -193,7 +193,7 @@ func TestReadyNonBlockedPanics(t *testing.T) {
 
 func TestEmitAfterNoTraceSafe(t *testing.T) {
 	r := Run(Options{NoTrace: true, PreemptProb: -1}, func(g *G) {
-		g.Sched().Emit(trace.Event{G: g.ID(), Type: trace.EvUserLog, Str: "x"})
+		g.Sched().Emit(&trace.Event{G: g.ID(), Type: trace.EvUserLog, Str: "x"})
 	})
 	if r.Outcome != OutcomeOK || r.Trace != nil {
 		t.Fatalf("result = %v", r)

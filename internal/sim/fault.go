@@ -36,7 +36,7 @@ func (s *Scheduler) applyFaults(g *G, cat trace.Category, file string, line int)
 	op := int64(s.ops)
 	if _, ok := s.faults.Due(fault.KindStall, op); ok {
 		a := s.faults.Fire(fault.KindStall, op)
-		s.Emit(trace.Event{G: g.id, Type: trace.EvFaultStall, Aux: a.Param, File: file, Line: line})
+		s.Emit(&trace.Event{G: g.id, Type: trace.EvFaultStall, Aux: a.Param, File: file, Line: line})
 		s.stalled = append(s.stalled, stalledG{g: g, until: s.steps + int(a.Param)})
 		g.Block(trace.BlockFault, 0, file, line)
 	}
@@ -47,13 +47,13 @@ func (s *Scheduler) applyFaults(g *G, cat trace.Category, file string, line int)
 		// A context cancels at most once; dropping the registration keeps
 		// later picks aimed at still-live contexts.
 		s.cancels = append(s.cancels[:idx], s.cancels[idx+1:]...)
-		s.Emit(trace.Event{G: g.id, Type: trace.EvFaultCancel, Aux: int64(idx), File: file, Line: line})
+		s.Emit(&trace.Event{G: g.id, Type: trace.EvFaultCancel, Aux: int64(idx), File: file, Line: line})
 		fn(g)
 	}
 	if cat == trace.CatChannel || cat == trace.CatSelect {
 		if _, ok := s.faults.Due(fault.KindSlow, op); ok {
 			a := s.faults.Fire(fault.KindSlow, op)
-			s.Emit(trace.Event{G: g.id, Type: trace.EvFaultSlow, Aux: a.Param, File: file, Line: line})
+			s.Emit(&trace.Event{G: g.id, Type: trace.EvFaultSlow, Aux: a.Param, File: file, Line: line})
 			for i := int64(0); i < a.Param; i++ {
 				g.yield(trace.EvGoPreempt, file, line)
 			}
@@ -61,7 +61,7 @@ func (s *Scheduler) applyFaults(g *G, cat trace.Category, file string, line int)
 	}
 	if _, ok := s.faults.Due(fault.KindPanic, op); ok {
 		a := s.faults.Fire(fault.KindPanic, op)
-		s.Emit(trace.Event{G: g.id, Type: trace.EvFaultPanic, File: file, Line: line})
+		s.Emit(&trace.Event{G: g.id, Type: trace.EvFaultPanic, File: file, Line: line})
 		panic(fault.InjectedPanic{Op: a.At})
 	}
 }
@@ -107,6 +107,6 @@ func (s *Scheduler) wakeStalled(g *G) {
 	}
 	g.state = StateRunnable
 	g.wakeNote = nil
-	s.Emit(trace.Event{G: g.id, Type: trace.EvGoUnblock, Peer: g.id})
+	s.Emit(&trace.Event{G: g.id, Type: trace.EvGoUnblock, Peer: g.id})
 	s.runq = append(s.runq, g)
 }

@@ -31,6 +31,10 @@ type host struct {
 
 	g  *G
 	fn func(*G)
+
+	// exited is set when the goroutine called runtime.Goexit: the host
+	// is then parked inside the Goexit and must be retired, not pooled.
+	exited bool
 }
 
 // hostFree is the global pool of parked hosts. It is a plain mutex-held
@@ -100,7 +104,8 @@ func runG(g *G, fn func(*G)) {
 		return
 	}
 	g.state = StateRunning
-	s.Emit(trace.Event{G: g.id, Type: trace.EvGoStart})
+	s.Emit(&trace.Event{G: g.id, Type: trace.EvGoStart})
+	returned := false
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isStop := r.(stopSignal); isStop {
@@ -110,23 +115,51 @@ func runG(g *G, fn func(*G)) {
 			s.panicked = true
 			s.panicVal = r
 			s.panicG = g.id
-			s.Emit(trace.Event{G: g.id, Type: trace.EvGoPanic, Str: fmt.Sprint(r)})
+			s.Emit(&trace.Event{G: g.id, Type: trace.EvGoPanic, Str: fmt.Sprint(r)})
 			return
 		}
 		g.state = StateDone
-		s.Emit(trace.Event{G: g.id, Type: trace.EvGoEnd})
+		s.Emit(&trace.Event{G: g.id, Type: trace.EvGoEnd})
+		if !returned {
+			// fn called runtime.Goexit, which ends the goroutine as a
+			// return would, but cannot be cancelled. Finishing it here
+			// would end the coroutine, and iter.Pull would re-raise the
+			// Goexit in the goroutine that called Run. So report the end
+			// from inside the Goexit; the scheduler then retires the host.
+			h := g.host
+			h.exited = true
+			h.yield(true)
+		}
 	}()
 	fn(g)
+	returned = true
 }
 
 // switchTo runs g until it leaves the processor. When g has ended, its
-// host goes back to the pool.
+// host goes back to the pool, or is retired if g called runtime.Goexit.
 func (s *Scheduler) switchTo(g *G) {
 	h := g.host
 	if ended, _ := h.next(); ended {
 		g.host = nil
-		putHost(h)
+		if h.exited {
+			retireHost(h)
+		} else {
+			putHost(h)
+		}
 	}
+}
+
+// retireHost stops a host parked inside a runtime.Goexit. Stopping lets
+// the Goexit finish, and iter.Pull then re-raises it in the goroutine
+// that called stop, so a goroutine of its own calls stop and ends with
+// the Goexit; retireHost waits until it has.
+func retireHost(h *host) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.stop()
+	}()
+	<-done
 }
 
 // leaveProcessor parks the calling goroutine until the scheduler dispatches

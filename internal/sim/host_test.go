@@ -166,3 +166,64 @@ func TestHostPoolSharedByConcurrentRuns(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGoexitEndsOnlySimulatedGoroutine pins that runtime.Goexit in a
+// simulated goroutine ends that goroutine, as in Go, and nothing else:
+// Run returns, the goroutine's deferred calls run, it is recorded as
+// ended with EvGoEnd, and its host is retired rather than pooled, so no
+// real goroutine is left behind however many runs call Goexit.
+func TestGoexitEndsOnlySimulatedGoroutine(t *testing.T) {
+	startG := runtime.NumGoroutine()
+	startPool := hostPoolLen()
+
+	const runs = 1000
+	deferred := 0
+	for i := 0; i < runs; i++ {
+		mainExits := i%2 == 1
+		r := Run(Options{Seed: int64(i)}, func(g *G) {
+			for j := 0; j < 3; j++ {
+				g.Go("x", func(c *G) {
+					defer func() { deferred++ }()
+					c.Yield()
+					runtime.Goexit()
+				})
+			}
+			g.Yield()
+			if mainExits {
+				runtime.Goexit()
+			}
+		})
+		if r.Outcome != OutcomeOK && r.Outcome != OutcomeLeak {
+			t.Fatalf("run %d: outcome = %v, want ok or leak", i, r.Outcome)
+		}
+		if r.Goroutines[0].State != StateDone {
+			t.Fatalf("run %d: main state = %v, want done", i, r.Goroutines[0].State)
+		}
+		ended := map[trace.GoID]bool{}
+		for _, e := range r.Trace.Events {
+			switch e.Type {
+			case trace.EvGoEnd:
+				ended[e.G] = true
+			case trace.EvGoPanic:
+				t.Fatalf("run %d: Goexit recorded as a panic: %v", i, e)
+			}
+		}
+		for _, info := range r.Goroutines {
+			if info.State == StateDone && !ended[info.ID] {
+				t.Fatalf("run %d: g%d done without an EvGoEnd", i, info.ID)
+			}
+		}
+	}
+	if deferred == 0 {
+		t.Fatal("no Goexit ran its goroutine's deferred calls")
+	}
+
+	want := startG + hostPoolLen() - startPool
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > want {
+		t.Fatalf("real goroutines = %d after %d Goexit runs, want at most %d", n, runs, want)
+	}
+}

@@ -70,6 +70,7 @@ type Scheduler struct {
 	opRunnable []int32        // per-op other-runnable counts (Options.RecordRunnable)
 	opActor    []trace.GoID   // per-op acting goroutine (Options.RecordEnabled)
 	opEnabled  [][]trace.GoID // per-op other-runnable identities (Options.RecordEnabled)
+	enabledIDs []trace.GoID   // backing of every opEnabled entry of the run
 	eventOps   []int64        // per-event op attribution (Options.RecordOps)
 
 	faults  *fault.Plan // nil unless Options.Faults is enabled
@@ -183,7 +184,7 @@ func (s *Scheduler) release() {
 	s.stoppers = nil
 	s.dec = nil
 	s.yieldAt, s.wakeAt = nil, nil
-	s.opRunnable, s.opActor, s.opEnabled, s.eventOps = nil, nil, nil, nil
+	s.opRunnable, s.opActor, s.opEnabled, s.enabledIDs, s.eventOps = nil, nil, nil, nil, nil
 	s.faults = nil
 	s.stalled = s.stalled[:0]
 	s.cancels = s.cancels[:0]
@@ -218,8 +219,9 @@ func (s *Scheduler) Now() int64 { return s.now }
 // at every early-stop poll, so an online detector observes exactly the
 // event prefix it would have seen under per-event delivery at each
 // dispatch boundary — early-stop timing and record/replay are
-// batching-invariant.
-func (s *Scheduler) Emit(e trace.Event) {
+// batching-invariant. The event is taken by pointer and copied once, into
+// the ECT or the batch; Emit stamps e.Ts and keeps no reference to e.
+func (s *Scheduler) Emit(e *trace.Event) {
 	if s.stopping {
 		// stopWorld unwinding: defers in user code still run (unlocks,
 		// once completions) but the world is already classified — their
@@ -232,7 +234,7 @@ func (s *Scheduler) Emit(e trace.Event) {
 	}
 	e.Ts = s.clock
 	if s.ect != nil {
-		s.ect.Append(e)
+		s.ect.Events = append(s.ect.Events, *e)
 		if s.opts.RecordOps {
 			// Attribute the event to the emitting goroutine's most recent
 			// CU handler op (0 before its first op). Kept parallel to the
@@ -245,7 +247,7 @@ func (s *Scheduler) Emit(e trace.Event) {
 		}
 	}
 	for _, snk := range s.live {
-		snk.Event(e)
+		snk.Event(*e)
 	}
 	if s.batchCap > 0 {
 		if s.ect != nil {
@@ -255,7 +257,7 @@ func (s *Scheduler) Emit(e trace.Event) {
 				s.flushSinks()
 			}
 		} else {
-			s.batch = append(s.batch, e)
+			s.batch = append(s.batch, *e)
 			if len(s.batch) >= s.batchCap {
 				s.flushSinks()
 			}
@@ -355,7 +357,7 @@ func (g *G) Go(name string, fn func(*G)) *G {
 // goroutine creation, where the interesting CU is the wrapper's caller).
 func (g *G) GoAt(name string, file string, line int, fn func(*G)) *G {
 	child := g.s.newG(name, g.id, false, file, line)
-	g.s.Emit(trace.Event{G: g.id, Type: trace.EvGoCreate, Peer: child.id, File: file, Line: line, Str: name})
+	g.s.Emit(&trace.Event{G: g.id, Type: trace.EvGoCreate, Peer: child.id, File: file, Line: line, Str: name})
 	g.s.spawn(child, fn)
 	return child
 }
@@ -367,7 +369,7 @@ func (g *G) GoAt(name string, file string, line int, fn func(*G)) *G {
 func (g *G) GoSystem(name string, fn func(*G)) *G {
 	file, line := Caller(1)
 	child := g.s.newG(name, g.id, true, file, line)
-	g.s.Emit(trace.Event{G: g.id, Type: trace.EvGoCreate, Peer: child.id, Aux: 1, File: file, Line: line, Str: name})
+	g.s.Emit(&trace.Event{G: g.id, Type: trace.EvGoCreate, Peer: child.id, Aux: 1, File: file, Line: line, Str: name})
 	g.s.spawn(child, fn)
 	return child
 }
@@ -379,7 +381,7 @@ func (g *G) Block(reason trace.BlockReason, res trace.ResID, file string, line i
 	g.state = StateBlocked
 	g.reason = reason
 	g.wakeNote = nil
-	g.s.Emit(trace.Event{G: g.id, Type: trace.EvGoBlock, Res: res, Aux: int64(reason), File: file, Line: line})
+	g.s.Emit(&trace.Event{G: g.id, Type: trace.EvGoBlock, Res: res, Aux: int64(reason), File: file, Line: line})
 	g.leaveProcessor()
 	g.reason = trace.BlockNone
 	return g.wakeNote
@@ -400,7 +402,7 @@ func (g *G) Ready(target *G, res trace.ResID, note any) {
 	}
 	target.state = StateRunnable
 	target.wakeNote = note
-	g.s.Emit(trace.Event{G: g.id, Type: trace.EvGoUnblock, Peer: target.id, Res: res})
+	g.s.Emit(&trace.Event{G: g.id, Type: trace.EvGoUnblock, Peer: target.id, Res: res})
 	g.s.runq = append(g.s.runq, target)
 }
 
@@ -412,7 +414,7 @@ func (g *G) Yield() {
 
 func (g *G) yield(ev trace.Type, file string, line int) {
 	g.state = StateRunnable
-	g.s.Emit(trace.Event{G: g.id, Type: ev, File: file, Line: line})
+	g.s.Emit(&trace.Event{G: g.id, Type: ev, File: file, Line: line})
 	if g.s.fastRedispatch() {
 		// Nothing else is runnable: the scheduler loop would redispatch
 		// this goroutine immediately, so skip the two coroutine switches
@@ -511,12 +513,15 @@ func (g *G) handler(cat trace.Category, file string, line int) {
 	}
 	if s.opts.RecordEnabled {
 		s.opActor = append(s.opActor, g.id)
+		// Each op's set is cut from the run's shared backing, its
+		// capacity capped so no set can grow into the next.
 		var ids []trace.GoID
 		if len(s.runq) > 0 {
-			ids = make([]trace.GoID, len(s.runq))
-			for i, r := range s.runq {
-				ids[i] = r.id
+			a := len(s.enabledIDs)
+			for _, r := range s.runq {
+				s.enabledIDs = append(s.enabledIDs, r.id)
 			}
+			ids = s.enabledIDs[a:len(s.enabledIDs):len(s.enabledIDs)]
 		}
 		s.opEnabled = append(s.opEnabled, ids)
 	}
@@ -707,6 +712,7 @@ func (s *Scheduler) result(outcome Outcome, mainG *G) *Result {
 		OpActor:      s.opActor,
 		OpEnabled:    s.opEnabled,
 		EventOps:     s.eventOps,
+		Goroutines:   make([]Info, 0, s.ng),
 	}
 	for _, g := range s.gs[:s.ng] {
 		info := g.info()

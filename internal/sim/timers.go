@@ -34,7 +34,7 @@ func (s *Scheduler) AddTimer(at int64, g *G) {
 	if s.faults != nil {
 		delta := at - s.now
 		if skewed := s.faults.SkewDelta(delta); skewed != delta {
-			s.Emit(trace.Event{G: g.id, Type: trace.EvFaultTimerSkew, Aux: skewed - delta})
+			s.Emit(&trace.Event{G: g.id, Type: trace.EvFaultTimerSkew, Aux: skewed - delta})
 			at = s.now + skewed
 		}
 	}
@@ -61,7 +61,7 @@ func (s *Scheduler) fireTimers() bool {
 		}
 		next.g.state = StateRunnable
 		next.g.wakeNote = nil
-		s.Emit(trace.Event{G: next.g.id, Type: trace.EvGoUnblock, Peer: next.g.id})
+		s.Emit(&trace.Event{G: next.g.id, Type: trace.EvGoUnblock, Peer: next.g.id})
 		s.runq = append(s.runq, next.g)
 		fired = true
 	}

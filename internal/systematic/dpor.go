@@ -136,6 +136,7 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 	}()
 
 	footprints := map[uint64]bool{}
+	fpEngine := hb.NewEngine(hb.Full) // replays each run for its footprint
 	queued := map[string]bool{}
 	root := &dporNode{yields: []int64{}}
 	work := []*dporNode{root}
@@ -177,7 +178,9 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 			}
 			return true, nil
 		}
-		fp := hb.FromTrace(fb.Result.Trace, hb.Full).Footprint
+		fpEngine.Reset()
+		fpEngine.EventBatch(fb.Result.Trace.Events)
+		fp := fpEngine.Footprint()
 		if footprints[fp] {
 			// Sleep set: an equivalent interleaving was already explored
 			// and expanded; re-expanding would seed the same reversals.
