@@ -1,5 +1,5 @@
 // Package engine is the unified campaign pipeline: one run-until-decided
-// loop shared by the evaluation harness (Table IV cells), the guided
+// loop shared by the evaluation harness (Table IV cells), the DPOR
 // explorer, the differential kernel fuzzer, and the goat CLI, which all
 // previously carried their own copies of it.
 //
