@@ -16,7 +16,6 @@ type args struct {
 	timeline  string
 	faultSpec string
 	predict   bool
-	prune     bool
 	dpor      bool
 }
 
@@ -24,7 +23,7 @@ func validate(a args) error {
 	if a.tool == "" {
 		a.tool = "goat"
 	}
-	_, err := validateFlags(a.bug, a.tool, a.minimize, a.traceOut, a.htmlOut, a.timeline, a.faultSpec, a.predict, a.prune, a.dpor)
+	_, err := validateFlags(a.bug, a.tool, a.minimize, a.traceOut, a.htmlOut, a.timeline, a.faultSpec, a.predict, a.dpor)
 	return err
 }
 
@@ -36,12 +35,9 @@ func TestValidateFlagsRejectsExclusiveModes(t *testing.T) {
 	}{
 		{"predict+dpor", args{bug: "b", predict: true, dpor: true}, "-predict and -dpor are exclusive"},
 		{"predict+dpor+minimize", args{bug: "b", predict: true, dpor: true, minimize: true}, "-predict and -dpor are exclusive"},
-		{"predict+prune", args{bug: "b", predict: true, prune: true}, "-predict and -prune are exclusive"},
 		{"predict+minimize", args{bug: "b", predict: true, minimize: true}, "-predict cannot be combined"},
 		{"predict+faults", args{bug: "b", predict: true, faultSpec: "stall=1"}, "-predict cannot be combined"},
-		{"dpor+prune", args{bug: "b", minimize: true, dpor: true, prune: true}, "-dpor and -prune are exclusive"},
 		{"dpor-without-minimize", args{bug: "b", dpor: true}, "-dpor requires -minimize"},
-		{"prune-without-minimize", args{bug: "b", prune: true}, "-prune requires -minimize"},
 		{"minimize-without-bug", args{minimize: true}, "-minimize requires -bug"},
 		{"predict-without-bug", args{predict: true}, "-predict requires -bug"},
 		{"traceout-without-bug", args{traceOut: "t.ect"}, "-traceout requires -bug"},
@@ -71,7 +67,6 @@ func TestValidateFlagsAcceptsValidModes(t *testing.T) {
 		{"bare-bug", args{bug: "b"}},
 		{"predict", args{bug: "b", predict: true}},
 		{"minimize", args{bug: "b", minimize: true}},
-		{"minimize+prune", args{bug: "b", minimize: true, prune: true}},
 		{"minimize+dpor", args{bug: "b", minimize: true, dpor: true}},
 		{"faults", args{bug: "b", faultSpec: "stall=2,panic=1"}},
 		{"every-tool-goleak", args{bug: "b", tool: "goleak"}},

@@ -61,7 +61,6 @@ func main() {
 		timeline  = flag.String("timeline", "", "with -bug: write a Chrome/Perfetto timeline (ECT + campaign phases) of the detecting run")
 		faultSpec = flag.String("faults", "", `with -bug: fault-injection spec, e.g. "stall=2,cancel=1,skew=0.3,slow=2,panic=1"`)
 		predict   = flag.Bool("predict", false, "with -bug: mine one passing execution for predicted blocking hazards")
-		prune     = flag.Bool("prune", false, "with -minimize: happens-before schedule pruning (skip equivalent yield placements)")
 		dpor      = flag.Bool("dpor", false, "with -minimize: dynamic partial-order reduction (backtrack only at racing Must-HB windows)")
 		obsAddr   = flag.String("obs", "", "mount the observability endpoint (/metrics, /profile/*, /healthz) on this address")
 	)
@@ -79,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "goat: observability endpoint on http://%s\n", addr)
 	}
 
-	faults, err := validateFlags(*bug, *tool, *minimize, *traceOut, *htmlOut, *timeline, *faultSpec, *predict, *prune, *dpor)
+	faults, err := validateFlags(*bug, *tool, *minimize, *traceOut, *htmlOut, *timeline, *faultSpec, *predict, *dpor)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,7 +97,7 @@ func main() {
 			fatal(err)
 		}
 	case *bug != "" && *minimize:
-		if err := minimizeBug(*bug, *seed, *d, *freq, *prune, *dpor); err != nil {
+		if err := minimizeBug(*bug, *seed, *d, *freq, *dpor); err != nil {
 			fatal(err)
 		}
 	case *bug != "":
@@ -122,7 +121,7 @@ func fatal(err error) {
 
 // validateFlags rejects meaningless flag combinations up front with a
 // one-line error instead of silently ignoring them.
-func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline, faultSpec string, predict, prune, dpor bool) (fault.Options, error) {
+func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline, faultSpec string, predict, dpor bool) (fault.Options, error) {
 	if bug == "" {
 		switch {
 		case minimize:
@@ -142,17 +141,8 @@ func validateFlags(bug, tool string, minimize bool, traceOut, htmlOut, timeline,
 	if predict && dpor {
 		return fault.Options{}, fmt.Errorf("-predict and -dpor are exclusive (-predict mines one execution; -dpor is a -minimize search strategy)")
 	}
-	if predict && prune {
-		return fault.Options{}, fmt.Errorf("-predict and -prune are exclusive (-predict mines one execution; -prune is a -minimize search strategy)")
-	}
-	if prune && !minimize {
-		return fault.Options{}, fmt.Errorf("-prune requires -minimize")
-	}
 	if dpor && !minimize {
 		return fault.Options{}, fmt.Errorf("-dpor requires -minimize")
-	}
-	if dpor && prune {
-		return fault.Options{}, fmt.Errorf("-dpor and -prune are exclusive (each replaces the search strategy)")
 	}
 	if predict && (minimize || faultSpec != "") {
 		return fault.Options{}, fmt.Errorf("-predict cannot be combined with -minimize or -faults")
@@ -345,16 +335,13 @@ func predictBug(id string, seed int64, d int) error {
 
 // minimizeBug runs the systematic explorer and the schedule minimizer on
 // a kernel, printing the minimal yield placement that reproduces the bug.
-func minimizeBug(id string, seed int64, maxYields, maxRuns int, prune, dpor bool) error {
+func minimizeBug(id string, seed int64, maxYields, maxRuns int, dpor bool) error {
 	k, ok := goker.ByID(id)
 	if !ok {
 		return fmt.Errorf("unknown bug %q (try -list)", id)
 	}
 	mode := "systematic exploration"
-	switch {
-	case prune:
-		mode = "HB-pruned systematic exploration"
-	case dpor:
+	if dpor {
 		mode = "DPOR over the Must-HB graph"
 	}
 	fmt.Printf("bug %s: %s (bound D=%d)...\n", k.ID, mode, maxYieldsOrDefault(maxYields))
@@ -364,16 +351,11 @@ func minimizeBug(id string, seed int64, maxYields, maxRuns int, prune, dpor bool
 		MaxRuns:   maxRuns,
 	}
 	var f *systematic.Finding
-	switch {
-	case prune:
-		var st systematic.PruneStats
-		f, st = systematic.ExplorePruned(k.Main, cfg)
-		fmt.Printf("pruning: %s\n", st)
-	case dpor:
+	if dpor {
 		var st systematic.DPORStats
 		f, st = systematic.ExploreDPOR(k.Main, cfg)
 		fmt.Printf("dpor: %s\n", st)
-	default:
+	} else {
 		f = systematic.Explore(k.Main, cfg)
 	}
 	if f == nil {

@@ -8,7 +8,7 @@
 //	goatbench -exp fig4              # detections per tool by symptom
 //	goatbench -exp fig5              # iteration-count distribution
 //	goatbench -exp fig6 -iters 100   # coverage growth case studies
-//	goatbench -exp dpor -freq 400    # DPOR/pruned/explore equivalence table
+//	goatbench -exp dpor -freq 400    # DPOR/explore equivalence table
 //	goatbench -exp all
 //
 // It also guards against performance regressions: pipe `go test -bench`

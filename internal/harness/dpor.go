@@ -1,8 +1,8 @@
 // DPOR equivalence campaign: the harness-level rendering of the
-// systematic package's core contract — Explore, ExplorePruned and
-// ExploreDPOR agree on every kernel while spending strictly decreasing
-// execution budgets. goatbench -exp dpor prints the table; CI runs it on
-// a small kernel matrix as a smoke gate.
+// systematic package's core contract — Explore and ExploreDPOR agree on
+// every kernel, DPOR spending a fraction of the executions. goatbench
+// -exp dpor prints the table; CI runs it on a small kernel matrix as a
+// smoke gate.
 package harness
 
 import (
@@ -14,24 +14,23 @@ import (
 	"goat/internal/systematic"
 )
 
-// DPORRow is one kernel's three-way exploration comparison.
+// DPORRow is one kernel's two-way exploration comparison.
 type DPORRow struct {
 	ID       string
 	Explore  *systematic.Finding
-	Pruned   *systematic.Finding
 	DPOR     *systematic.Finding
 	Stats    systematic.DPORStats
-	Mismatch string // empty when the three searches agree
+	Mismatch string // empty when the two searches agree
 }
 
 // DPORCompare is the campaign result.
 type DPORCompare struct {
 	Rows []DPORRow
 	// Suite-wide executions spent by each search.
-	ExploreRuns, PrunedRuns, DPORRuns int
+	ExploreRuns, DPORRuns int
 }
 
-// RunDPORCompare runs all three systematic searches on every kernel
+// RunDPORCompare runs both systematic searches on every kernel
 // (nil selects the full registry) and records any disagreement. Two
 // findings agree when both miss, or both hit with the same verdict and
 // either the same yield placement or a placement that replays to the
@@ -44,18 +43,10 @@ func RunDPORCompare(kernels []goker.Kernel, cfg systematic.Config) *DPORCompare 
 	for _, k := range kernels {
 		row := DPORRow{ID: k.ID}
 		row.Explore = systematic.Explore(k.Main, cfg)
-		row.Pruned, _ = systematic.ExplorePruned(k.Main, cfg)
 		row.DPOR, row.Stats = systematic.ExploreDPOR(k.Main, cfg)
-		if d := findingDisagreement(k, row.Explore, row.Pruned, "pruned"); d != "" {
-			row.Mismatch = d
-		} else if d := findingDisagreement(k, row.Explore, row.DPOR, "dpor"); d != "" {
-			row.Mismatch = d
-		}
+		row.Mismatch = findingDisagreement(k, row.Explore, row.DPOR)
 		if row.Explore != nil {
 			out.ExploreRuns += row.Explore.Runs
-		}
-		if row.Pruned != nil {
-			out.PrunedRuns += row.Pruned.Runs
 		}
 		if row.DPOR != nil {
 			out.DPORRuns += row.DPOR.Runs
@@ -65,23 +56,23 @@ func RunDPORCompare(kernels []goker.Kernel, cfg systematic.Config) *DPORCompare 
 	return out
 }
 
-// findingDisagreement classifies how b diverges from the reference a,
-// returning "" when they are equivalent.
-func findingDisagreement(k goker.Kernel, a, b *systematic.Finding, tag string) string {
+// findingDisagreement classifies how DPOR's finding b diverges from
+// Explore's reference a, returning "" when they are equivalent.
+func findingDisagreement(k goker.Kernel, a, b *systematic.Finding) string {
 	switch {
 	case (a == nil) != (b == nil):
-		return fmt.Sprintf("%s found=%v, explore found=%v", tag, b != nil, a != nil)
+		return fmt.Sprintf("dpor found=%v, explore found=%v", b != nil, a != nil)
 	case a == nil:
 		return ""
 	case a.Detection.Verdict != b.Detection.Verdict:
-		return fmt.Sprintf("%s verdict %q, explore %q", tag, b.Detection.Verdict, a.Detection.Verdict)
+		return fmt.Sprintf("dpor verdict %q, explore %q", b.Detection.Verdict, a.Detection.Verdict)
 	case fmt.Sprint(a.Yields) == fmt.Sprint(b.Yields) && len(b.Wakes) == 0:
 		return ""
 	}
 	// Different placement: equivalent only if it independently replays.
 	d := (detect.Goat{}).Detect(b.Replay(k.Main))
 	if !d.Found || d.Verdict != a.Detection.Verdict {
-		return fmt.Sprintf("%s placement %q does not replay explore's %q verdict", tag, b.DecisionString(), a.Detection.Verdict)
+		return fmt.Sprintf("dpor placement %q does not replay explore's %q verdict", b.DecisionString(), a.Detection.Verdict)
 	}
 	return ""
 }
@@ -100,7 +91,7 @@ func (c *DPORCompare) Mismatches() []DPORRow {
 // String renders the comparison table.
 func (c *DPORCompare) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %-10s %8s %8s %8s  %s\n", "bug", "verdict", "explore", "pruned", "dpor", "agreement")
+	fmt.Fprintf(&b, "%-24s %-10s %8s %8s  %s\n", "bug", "verdict", "explore", "dpor", "agreement")
 	runsOf := func(f *systematic.Finding) string {
 		if f == nil {
 			return "-"
@@ -115,10 +106,10 @@ func (c *DPORCompare) String() string {
 		if r.Mismatch != "" {
 			agree = "MISMATCH: " + r.Mismatch
 		}
-		fmt.Fprintf(&b, "%-24s %-10s %8s %8s %8s  %s\n",
-			r.ID, verdict, runsOf(r.Explore), runsOf(r.Pruned), runsOf(r.DPOR), agree)
+		fmt.Fprintf(&b, "%-24s %-10s %8s %8s  %s\n",
+			r.ID, verdict, runsOf(r.Explore), runsOf(r.DPOR), agree)
 	}
-	fmt.Fprintf(&b, "%-24s %-10s %8d %8d %8d  %d mismatch(es)\n",
-		"TOTAL (found)", "", c.ExploreRuns, c.PrunedRuns, c.DPORRuns, len(c.Mismatches()))
+	fmt.Fprintf(&b, "%-24s %-10s %8d %8d  %d mismatch(es)\n",
+		"TOTAL (found)", "", c.ExploreRuns, c.DPORRuns, len(c.Mismatches()))
 	return b.String()
 }

@@ -25,13 +25,22 @@ func TestRunDPORCompareAgreesOnMatrix(t *testing.T) {
 		t.Fatalf("searches disagree: %+v", mm)
 	}
 	if cmp.DPORRuns <= 0 || cmp.ExploreRuns < cmp.DPORRuns {
-		t.Fatalf("implausible run totals: explore=%d pruned=%d dpor=%d",
-			cmp.ExploreRuns, cmp.PrunedRuns, cmp.DPORRuns)
+		t.Fatalf("implausible run totals: explore=%d dpor=%d", cmp.ExploreRuns, cmp.DPORRuns)
 	}
 	out := cmp.String()
 	for _, want := range []string{"serving_2137", "agree", "TOTAL (found)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
+	// Two search columns: bug, verdict, explore runs, dpor runs, agreement.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if h := strings.Join(strings.Fields(lines[0]), " "); h != "bug verdict explore dpor agreement" {
+		t.Errorf("header %q, want the two-way explore/dpor table", h)
+	}
+	for _, l := range lines[1 : len(lines)-1] {
+		if f := strings.Fields(l); len(f) != 5 {
+			t.Errorf("row %q has %d columns, want 5", l, len(f))
 		}
 	}
 	if strings.Contains(out, "MISMATCH") {

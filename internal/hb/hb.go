@@ -36,7 +36,7 @@
 // Scheduling-noise events (EvGoSched, EvGoPreempt) neither tick clocks
 // nor enter the footprint: two executions that differ only in where the
 // scheduler yielded have identical clocks and footprints, which is
-// exactly what the HB-pruned systematic explorer keys on.
+// exactly what the DPOR explorer's sleep sets key on.
 package hb
 
 import (

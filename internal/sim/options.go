@@ -124,8 +124,8 @@ type Options struct {
 
 	// RecordRunnable captures, for every CU handler invocation, how many
 	// *other* goroutines were runnable at that op (Result.OpRunnable).
-	// The systematic explorer's HB pruner uses it to prove a candidate
-	// yield placement is a no-op: a yield at an op where nothing else was
+	// The DPOR explorer uses it to prove a candidate yield placement is a
+	// no-op: a yield at an op where nothing else was
 	// runnable redispatches the same goroutine immediately and cannot
 	// change the schedule. Recording never draws scheduling decisions.
 	RecordRunnable bool

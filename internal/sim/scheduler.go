@@ -482,7 +482,7 @@ func (g *G) wakeYield(target trace.GoID, file string, line int) {
 const sliceOpBudget = 256
 
 // SliceOpBudget exposes the per-slice op budget: schedule analyses that
-// reason about forced preempts (the systematic pruner's no-op-yield rule)
+// reason about forced preempts (the DPOR explorer's no-op-yield rule)
 // must know when slice exhaustion can perturb a schedule.
 const SliceOpBudget = sliceOpBudget
 

@@ -1,11 +1,10 @@
 // Dynamic partial-order reduction over the Must-HB graph.
 //
 // Delay-bounded exploration (Explore) treats every op index as a
-// potential yield point; HB pruning (ExplorePruned) removes placements
-// that provably reproduce an already-run schedule. DPOR inverts the
-// question: instead of enumerating placements and filtering, it runs a
-// schedule, asks the happens-before analysis *where reordering could
-// matter*, and seeds backtrack points only there.
+// potential yield point. DPOR inverts the question: instead of
+// enumerating placements, it runs a schedule, asks the happens-before
+// analysis *where reordering could matter*, and seeds backtrack points
+// only there.
 //
 // After each run the trace is replayed through hb.BuildDeps in Must mode
 // (lock-induced edges dropped — another schedule could acquire the locks
@@ -104,6 +103,9 @@ func (n *dporNode) key() string {
 	f := Finding{Yields: n.yields, Wakes: n.wakes}
 	return f.DecisionString()
 }
+
+// placementKey is the dedup key of a sorted yield placement.
+func placementKey(yields []int64) string { return fmt.Sprint(yields) }
 
 // candidate is one seeded backtrack point: the yield op and the racing
 // peer that should run instead (used as the wake target in wakes mode).
@@ -224,9 +226,10 @@ func (x *Explorer) expand(node *dporNode, r *sim.Result, cfg Config, st *DPORSta
 	var cands []candidate
 	if r.Ops >= sim.SliceOpBudget {
 		// Past the slice-op budget forced preempts perturb the suffix and
-		// the census/HB reasoning below is no longer a proof (the same
-		// guard canonicalize applies). Degrade to the exhaustive suffix
-		// sweep rather than risk losing a schedule.
+		// the census/HB reasoning below is no longer a proof: a forced
+		// yield resets the slice counter, so even a yield at an op with
+		// no runnable peer moves later preempts. Degrade to the
+		// exhaustive suffix sweep rather than risk losing a schedule.
 		for op := m + 1; op <= int64(r.Ops); op++ {
 			if op-1 < int64(len(r.OpRunnable)) && r.OpRunnable[op-1] == 0 {
 				continue

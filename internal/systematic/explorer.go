@@ -1,18 +1,16 @@
 package systematic
 
 // Explorer is the reusable exploration context campaigns hold across
-// cells: one value drives many kernels through ExplorePruned /
-// ExploreDPOR and exposes the last call's statistics. Every Explore*
-// method resets its stats field on entry — per-cell isolation is part of
-// the contract, pinned by TestExplorerStatsIsolation. (The engine-driven
+// cells: one value drives many kernels through ExploreDPOR and exposes
+// the last call's statistics. ExploreDPOR resets its stats field on
+// entry — per-cell isolation is part of the contract, pinned by
+// TestExplorerStatsIsolation. (The engine-driven
 // harness used to observe stats accumulating across cells when an
 // explorer value was reused; the reset is the fix.)
 //
 // An Explorer is not safe for concurrent use; campaigns that parallelize
 // across cells give each worker its own.
 type Explorer struct {
-	// Prune holds the statistics of the most recent ExplorePruned call.
-	Prune PruneStats
 	// DPOR holds the statistics of the most recent ExploreDPOR call.
 	DPOR DPORStats
 	// Wakes switches ExploreDPOR to targeted backtracking: children are
@@ -25,6 +23,3 @@ type Explorer struct {
 
 // NewExplorer returns a fresh exploration context.
 func NewExplorer() *Explorer { return &Explorer{} }
-
-// pruneStats returns the live stats field of the current call.
-func (x *Explorer) pruneStats() *PruneStats { return &x.Prune }
