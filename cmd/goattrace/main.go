@@ -5,7 +5,7 @@
 //	goattrace -dump trace.ect -g 3        # one goroutine's projection
 //	goattrace -dump trace.ect -cat Chan   # one category
 //	goattrace -stats trace.ect            # per-type tallies
-//	goattrace -profile trace.ect          # blocking/contention profile
+//	goattrace -profile trace.ect          # block/mutex/goroutine/cpu top tables
 //	goattrace -tree trace.ect             # goroutine tree + Procedure 1
 //	goattrace -chrome trace.ect -o t.json # Chrome/Perfetto timeline export
 //
@@ -62,7 +62,7 @@ func main() {
 	var (
 		dump    = flag.String("dump", "", "print the events of a trace file")
 		stats   = flag.String("stats", "", "print event tallies of a trace file")
-		profile = flag.String("profile", "", "print the blocking profile of a trace file")
+		profile = flag.String("profile", "", "print the block/mutex/goroutine/cpu top tables of a trace file")
 		tree    = flag.String("tree", "", "print the goroutine tree + deadlock check")
 		chrome  = flag.String("chrome", "", "export a trace file as Chrome trace-event JSON (load in ui.perfetto.dev)")
 		outPath = flag.String("o", "", "with -chrome: output file (default stdout)")
@@ -100,40 +100,12 @@ func main() {
 		})
 	case *stats != "":
 		withTrace(*stats, func(t *trace.Trace) error {
-			gs := t.Goroutines()
-			fmt.Printf("%d events, %d goroutines\n\n", t.Len(), len(gs))
-			counts := t.CountByType()
-			for ty := trace.Type(1); ; ty++ {
-				if !ty.Valid() {
-					break
-				}
-				if counts[ty] > 0 {
-					fmt.Printf("%-14s %6d\n", ty, counts[ty])
-				}
-			}
-			// Per-goroutine tallies in sorted-ID order: ByGoroutine is a
-			// bare map, so ranging over it directly would flake.
-			byG := t.ByGoroutine()
-			fmt.Println()
-			for _, g := range gs {
-				events := byG[g]
-				line := fmt.Sprintf("g%-5d %6d event(s)", g, len(events))
-				if len(events) > 0 {
-					last := events[len(events)-1]
-					line += fmt.Sprintf("  last=%s", last.Type)
-					if last.Type == trace.EvGoBlock {
-						line += fmt.Sprintf(" (%s @%s:%d)", last.BlockReason(), last.File, last.Line)
-					}
-				}
-				fmt.Println(line)
-			}
+			printStats(os.Stdout, t)
 			return nil
 		})
 	case *profile != "":
 		withCapture(*profile, func(t *trace.Trace, run *ingest.Run) error {
-			fmt.Print(trace.BuildProfile(t))
 			set := buildProfileSet(t, run)
-			fmt.Println()
 			fmt.Print(set.Block.Top(8))
 			fmt.Print(set.Mutex.Top(8))
 			fmt.Print(set.Goroutine.Top(8))
@@ -211,6 +183,44 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(exitUsage)
+	}
+}
+
+// printStats writes the event tallies of t: per type, then per
+// goroutine in sorted-ID order (ByGoroutine is a bare map, so ranging
+// over it directly would flake). A goroutine's line counts its yields
+// (EvGoSched, voluntary or injected) and preempts (EvGoPreempt).
+func printStats(w io.Writer, t *trace.Trace) {
+	gs := t.Goroutines()
+	fmt.Fprintf(w, "%d events, %d goroutines\n\n", t.Len(), len(gs))
+	counts := t.CountByType()
+	for ty := trace.Type(1); ty.Valid(); ty++ {
+		if counts[ty] > 0 {
+			fmt.Fprintf(w, "%-14s %6d\n", ty, counts[ty])
+		}
+	}
+	byG := t.ByGoroutine()
+	fmt.Fprintln(w)
+	for _, g := range gs {
+		events := byG[g]
+		yields, preempts := 0, 0
+		for i := range events {
+			switch events[i].Type {
+			case trace.EvGoSched:
+				yields++
+			case trace.EvGoPreempt:
+				preempts++
+			}
+		}
+		line := fmt.Sprintf("g%-5d %6d event(s)  yields=%d preempts=%d", g, len(events), yields, preempts)
+		if len(events) > 0 {
+			last := events[len(events)-1]
+			line += fmt.Sprintf("  last=%s", last.Type)
+			if last.Type == trace.EvGoBlock {
+				line += fmt.Sprintf(" (%s @%s:%d)", last.BlockReason(), last.File, last.Line)
+			}
+		}
+		fmt.Fprintln(w, line)
 	}
 }
 
