@@ -222,13 +222,12 @@ func BenchmarkSelectTwoReady(b *testing.B) {
 	}
 }
 
-// benchCampaignCell runs a Table IV-style campaign cell (one rare kernel
-// under the GoAT detector for a fixed execution budget) through the
-// engine, either buffered (ECT per run + post-hoc detection) or streaming
-// (trace-free, online detector). Reported with -benchmem so the guard
-// pins both ns/op and allocs/op: pooled streaming must not cost more than
-// buffering on either axis.
-func benchCampaignCell(b *testing.B, buffered bool) {
+// BenchmarkCampaignCellStreaming runs a Table IV-style campaign cell (one
+// rare kernel under the GoAT detector for a fixed execution budget)
+// through the engine: executions run trace-free with the online GoAT
+// detector attached as an event sink. Reported with -benchmem so the
+// guard pins both ns/op and allocs/op.
+func BenchmarkCampaignCellStreaming(b *testing.B) {
 	k, ok := goker.ByID("kubernetes_6632")
 	if !ok {
 		b.Fatal("kernel missing")
@@ -245,7 +244,6 @@ func benchCampaignCell(b *testing.B, buffered bool) {
 			Runs:               30,
 			Detector:           detect.Goat{},
 			DetectorNeedsTrace: true,
-			Buffered:           buffered,
 			Pool:               pool,
 			StopOnFound:        true,
 		})
@@ -257,14 +255,6 @@ func benchCampaignCell(b *testing.B, buffered bool) {
 		}
 	}
 }
-
-// BenchmarkCampaignCellBuffered is the classic pipeline: every execution
-// buffers its ECT (recycled through a pool) and GoAT analyzes it post-hoc.
-func BenchmarkCampaignCellBuffered(b *testing.B) { benchCampaignCell(b, true) }
-
-// BenchmarkCampaignCellStreaming is the streaming pipeline: executions
-// run trace-free with the online GoAT detector attached as an event sink.
-func BenchmarkCampaignCellStreaming(b *testing.B) { benchCampaignCell(b, false) }
 
 // BenchmarkServiceCell times one service-soak execution cell: a leaky
 // worker-pool service (one stranded goroutine per 128 requests) run

@@ -6,11 +6,10 @@
 // A campaign executes a program repeatedly under planned scheduling
 // options, classifies every run with a detector, optionally folds each
 // run into a coverage model, and stops on the first detection, a caller
-// decision, or the budget. The engine owns the streaming wiring: when the
-// detector and the coverage model have online forms, runs execute
-// trace-free with the analyses attached as event sinks; the buffered mode
-// (Config.Buffered) keeps the classic ECT-then-post-hoc pipeline for
-// callers that need the full trace per run.
+// decision, or the budget. The engine owns the streaming wiring: a
+// detector with an online form and the coverage model are attached to
+// each run as event sinks, and a run buffers its ECT only when a post-hoc
+// detector or the caller (NeedTrace) still consumes it.
 package engine
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	"goat/internal/cover"
 	"goat/internal/detect"
-	"goat/internal/gtree"
 	"goat/internal/sim"
 	"goat/internal/telemetry"
 	"goat/internal/trace"
@@ -66,17 +64,13 @@ type Config struct {
 	// DetectorNeedsTrace marks post-hoc detectors that consume Result.Trace,
 	// so buffering is kept when the detector has no streaming form.
 	DetectorNeedsTrace bool
-	// Coverage, when set, accumulates every run into the model (streamed
-	// in streaming mode, via gtree.Build + AddRun in buffered mode — a
-	// build failure aborts the campaign with its error).
+	// Coverage, when set, accumulates every run into the model, streamed
+	// through a cover.RunSink.
 	Coverage *cover.Model
 
 	// NeedTrace forces each run to buffer its ECT regardless of the
 	// analyses' needs (for reports and trace artifacts).
 	NeedTrace bool
-	// Buffered opts out of streaming: runs buffer their ECT as needed and
-	// every analysis happens post-hoc on it.
-	Buffered bool
 	// EarlyStop lets streaming detectors halt a run the moment their
 	// verdict is decided (sim.OutcomeStopped). Off, every run is observed
 	// to its natural end, keeping verdicts byte-identical to the post-hoc
@@ -188,14 +182,13 @@ type scratch struct {
 	tsink  *telemetry.Sink // per-worker event-category tally (nil when telemetry is off)
 }
 
-// runOne executes one campaign run: wire the analyses (streamed or
-// buffered), run the program, finish the analyses.
+// runOne executes one campaign run: wire the streamed analyses, run the
+// program, finish the analyses.
 func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) (*Feedback, error) {
 	opts := cfg.Plan(i, prev)
 
-	streaming := !cfg.Buffered
 	var stream detect.Stream
-	if streaming && cfg.Detector != nil {
+	if cfg.Detector != nil {
 		if sc.stream != nil {
 			sc.stream.Reset() // early-stop configuration survives Reset
 			stream = sc.stream
@@ -212,14 +205,13 @@ func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) (*Feedback, error) 
 		}
 	}
 	var covSink *cover.RunSink
-	if streaming && cfg.Coverage != nil {
+	if cfg.Coverage != nil {
 		covSink = cfg.Coverage.StreamRun()
 	}
 
 	// Buffer the ECT only when something still consumes it post-hoc.
 	wantTrace := cfg.NeedTrace ||
-		(cfg.Detector != nil && cfg.DetectorNeedsTrace && stream == nil) ||
-		(cfg.Coverage != nil && covSink == nil)
+		(cfg.Detector != nil && cfg.DetectorNeedsTrace && stream == nil)
 	opts.NoTrace = !wantTrace
 	if wantTrace && cfg.Pool != nil && opts.ECT == nil {
 		opts.ECT = cfg.Pool.Get()
@@ -260,13 +252,6 @@ func runOne(cfg *Config, i int, prev *Feedback, sc *scratch) (*Feedback, error) 
 
 	if covSink != nil {
 		st := covSink.Finish()
-		fb.Stats = &st
-	} else if cfg.Coverage != nil {
-		tree, err := gtree.Build(r.Trace)
-		if err != nil {
-			return fb, err
-		}
-		st := cfg.Coverage.AddRun(tree)
 		fb.Stats = &st
 	}
 

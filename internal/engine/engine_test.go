@@ -15,7 +15,7 @@ import (
 
 // cellConfig is a Table IV-style campaign cell: one rare kernel under the
 // GoAT detector with a delay bound, stopping at first detection.
-func cellConfig(t *testing.T, buffered bool) engine.Config {
+func cellConfig(t *testing.T) engine.Config {
 	t.Helper()
 	k, ok := goker.ByID("kubernetes_6632")
 	if !ok {
@@ -29,44 +29,53 @@ func cellConfig(t *testing.T, buffered bool) engine.Config {
 		Runs:               200,
 		Detector:           detect.Goat{},
 		DetectorNeedsTrace: true,
-		Buffered:           buffered,
 		Pool:               trace.NewPool(),
 		StopOnFound:        true,
 	}
 }
 
+// TestStreamingCellMatchesBuffered holds the engine's streaming cell to
+// the classic pipeline written out by hand: each planned run buffers its
+// ECT and GoAT's post-hoc Detect classifies it. The engine must stop at
+// the same run with the same detection, keep no trace when streaming,
+// and keep the detecting run's trace out of the pool under NeedTrace.
 func TestStreamingCellMatchesBuffered(t *testing.T) {
-	buf, err := engine.Run(context.Background(), cellConfig(t, true))
-	if err != nil {
-		t.Fatalf("buffered: %v", err)
+	cfg := cellConfig(t)
+	ref := -1
+	var refDet detect.Detection
+	for i := 0; i < cfg.Runs && ref < 0; i++ {
+		if refDet = (detect.Goat{}).Detect(sim.Run(cfg.Plan(i, nil), cfg.Prog)); refDet.Found {
+			ref = i
+		}
 	}
-	str, err := engine.Run(context.Background(), cellConfig(t, false))
-	if err != nil {
-		t.Fatalf("streaming: %v", err)
+	if ref < 0 {
+		t.Fatalf("reference loop found nothing in %d runs", cfg.Runs)
 	}
-	if buf.Found == nil || str.Found == nil {
-		t.Fatalf("found: buffered %v, streaming %v", buf.Found, str.Found)
-	}
-	if buf.Found.Index != str.Found.Index {
-		t.Errorf("detection index: buffered %d, streaming %d", buf.Found.Index, str.Found.Index)
-	}
-	if *buf.Found.Detection != *str.Found.Detection {
-		t.Errorf("detection: buffered %+v, streaming %+v", *buf.Found.Detection, *str.Found.Detection)
-	}
-	if str.Found.Result.Trace != nil {
-		t.Error("streaming cell buffered a trace")
-	}
-	if buf.Found.Result.Trace == nil {
-		t.Error("buffered cell's detecting run lost its trace to the pool")
+	for _, needTrace := range []bool{false, true} {
+		cfg := cellConfig(t)
+		cfg.NeedTrace = needTrace
+		rep, err := engine.Run(context.Background(), cfg)
+		if err != nil || rep.Found == nil {
+			t.Fatalf("NeedTrace=%v: found %v, err %v", needTrace, rep.Found, err)
+		}
+		if rep.Found.Index != ref {
+			t.Errorf("NeedTrace=%v: detection index %d, buffered reference %d", needTrace, rep.Found.Index, ref)
+		}
+		if *rep.Found.Detection != refDet {
+			t.Errorf("NeedTrace=%v: detection %+v, buffered reference %+v", needTrace, *rep.Found.Detection, refDet)
+		}
+		if kept := rep.Found.Result.Trace != nil; kept != needTrace {
+			t.Errorf("NeedTrace=%v: detecting run kept a trace: %v", needTrace, kept)
+		}
 	}
 }
 
 func TestParallelCellMatchesSequential(t *testing.T) {
-	seq, err := engine.Run(context.Background(), cellConfig(t, false))
+	seq, err := engine.Run(context.Background(), cellConfig(t))
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	cfg := cellConfig(t, false)
+	cfg := cellConfig(t)
 	cfg.Parallel = 8
 	par, err := engine.Run(context.Background(), cfg)
 	if err != nil {
@@ -264,7 +273,7 @@ func TestTimeoutInvisibleToBuiltinUnderParallel(t *testing.T) {
 // boundary.
 func TestCancellationStopsSequentialCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cfg := cellConfig(t, false)
+	cfg := cellConfig(t)
 	cfg.StopOnFound = false
 	cfg.Runs = 50
 	plan := cfg.Plan
@@ -287,7 +296,7 @@ func TestCancellationStopsSequentialCampaign(t *testing.T) {
 func TestCancellationStopsParallelCampaign(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := cellConfig(t, false)
+	cfg := cellConfig(t)
 	cfg.Parallel = 4
 	rep, err := engine.Run(ctx, cfg)
 	if err != context.Canceled {

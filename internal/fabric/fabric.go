@@ -110,8 +110,6 @@ type JobSpec struct {
 	BaseSeed int64 `json:"base_seed,omitempty"`
 	// Faults enables deterministic fault injection for every execution.
 	Faults fault.Options `json:"faults,omitempty"`
-	// Buffered opts out of the streaming pipeline.
-	Buffered bool `json:"buffered,omitempty"`
 	// EarlyStop lets streaming detectors halt runs early.
 	EarlyStop bool `json:"early_stop,omitempty"`
 	// CellBudget is the per-cell wall-clock watchdog (0 = default 30s).
@@ -132,7 +130,6 @@ func NewJob(cfg harness.Config) (JobSpec, error) {
 		MaxExecs:   cfg.MaxExecs,
 		BaseSeed:   cfg.BaseSeed,
 		Faults:     cfg.Faults,
-		Buffered:   cfg.Buffered,
 		EarlyStop:  cfg.EarlyStop,
 		CellBudget: cfg.CellBudget,
 		Retries:    cfg.Retries,
@@ -197,7 +194,6 @@ func (j JobSpec) CellConfig(flightDir string) harness.Config {
 		MaxExecs:     j.MaxExecs,
 		BaseSeed:     j.BaseSeed,
 		Faults:       j.Faults,
-		Buffered:     j.Buffered,
 		EarlyStop:    j.EarlyStop,
 		CellBudget:   j.CellBudget,
 		Retries:      j.Retries,
@@ -232,8 +228,8 @@ func (j JobSpec) Fingerprint() string {
 	for _, t := range j.Tools {
 		put(fmt.Sprintf("%s/%s/%d/%v", t.Name, t.Detector, t.Delays, t.NeedTrace))
 	}
-	put(fmt.Sprintf("%d/%d/%v/%v/%v/%d/%v",
-		j.MaxExecs, j.BaseSeed, j.Buffered, j.EarlyStop, j.CellBudget, j.Retries, j.Faults))
+	put(fmt.Sprintf("%d/%d/%v/%v/%d/%v",
+		j.MaxExecs, j.BaseSeed, j.EarlyStop, j.CellBudget, j.Retries, j.Faults))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

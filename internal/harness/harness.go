@@ -105,12 +105,6 @@ type Config struct {
 	// the campaign (robustness benchmarking). The zero value disables it.
 	Faults fault.Options
 
-	// Buffered opts out of the streaming pipeline: every execution buffers
-	// its ECT and detectors run post-hoc on it (the pre-engine behavior).
-	// The default streams the online detectors over trace-free runs; both
-	// modes produce identical cells.
-	Buffered bool
-
 	// EarlyStop lets streaming detectors halt an execution the moment
 	// their verdict is decided. Off by default: an early-stopped run is
 	// classified by the deciding verdict, which can differ from the
@@ -295,7 +289,6 @@ func minExecs(k goker.Kernel, spec Spec, cfg Config, maxExecs int, seed int64, r
 		Runs:               maxExecs,
 		Detector:           spec.Detector,
 		DetectorNeedsTrace: spec.NeedTrace,
-		Buffered:           cfg.Buffered,
 		EarlyStop:          cfg.EarlyStop,
 		Pool:               trace.NewPool(),
 		Sinks:              sinks,

@@ -180,7 +180,7 @@ type violation struct {
 // tool whose Spec matches the run's delay bound, and returns the first
 // violation (nil if all verdicts agree with the oracle).
 //
-// The sweep runs on the campaign engine in buffered mode: every tool and
+// The sweep runs on the campaign engine with NeedTrace: every tool and
 // the ground-truth oracle inspect the same full ECT per run, so runs
 // cannot stream trace-free, but the pool still recycles the trace buffer
 // across the whole grid.
@@ -213,7 +213,6 @@ func examine(p *Prog, tools []harness.Spec, baseSeed int64, sweep int, runs *int
 			return sim.Options{Seed: grid[i].seed, Delays: grid[i].d}
 		},
 		Runs:      len(grid),
-		Buffered:  true,
 		NeedTrace: true,
 		Pool:      trace.NewPool(),
 		OnRun: func(fb *engine.Feedback) (bool, error) {

@@ -40,8 +40,9 @@
 // every placement is generated at most once, bounded by Config.MaxYields
 // and the Config.MaxRuns budget over candidates considered. The campaign
 // loop itself is engine.Run: planning pops the work queue, analysis and
-// expansion happen in the OnRun observer, and detection uses the same
-// detect.Goat post-hoc path as Explore, so verdicts are byte-identical.
+// expansion happen in the OnRun observer, and detection streams through
+// detect.Goat's online form, whose verdicts are byte-identical to the
+// post-hoc Detect that Explore uses (goker/stream_equiv_test.go).
 package systematic
 
 import (
@@ -204,7 +205,6 @@ func (x *Explorer) ExploreDPOR(prog func(*sim.G), cfg Config) (*Finding, DPORSta
 		Detector:           detect.Goat{},
 		DetectorNeedsTrace: true,
 		NeedTrace:          true,
-		Buffered:           true,
 		Pool:               trace.NewPool(),
 		StopOnFound:        true,
 		OnRun:              onRun,

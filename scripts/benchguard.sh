@@ -15,7 +15,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkTable1|BenchmarkTable3|BenchmarkHandoff|BenchmarkSchedulerSpawnJoin|BenchmarkChannelPingPong|BenchmarkSelectTwoReady|BenchmarkDetectGoat|BenchmarkCampaignCellBuffered|BenchmarkCheckpointJournalAppend|BenchmarkCheckpointJournalReplay|BenchmarkCampaignCellStreaming|BenchmarkServiceCell|BenchmarkServiceCellTimeline|BenchmarkTelemetryOverheadOff|BenchmarkTelemetryOverheadOn|BenchmarkHBEngine|BenchmarkHBDeps|BenchmarkPredictMine|BenchmarkSystematicExploreDPOR|BenchmarkIngestParse|BenchmarkProfileBuild)$'
+BENCHES='^(BenchmarkTable1|BenchmarkTable3|BenchmarkHandoff|BenchmarkSchedulerSpawnJoin|BenchmarkChannelPingPong|BenchmarkSelectTwoReady|BenchmarkDetectGoat|BenchmarkCheckpointJournalAppend|BenchmarkCheckpointJournalReplay|BenchmarkCampaignCellStreaming|BenchmarkServiceCell|BenchmarkServiceCellTimeline|BenchmarkTelemetryOverheadOff|BenchmarkTelemetryOverheadOn|BenchmarkHBEngine|BenchmarkHBDeps|BenchmarkPredictMine|BenchmarkSystematicExploreDPOR|BenchmarkIngestParse|BenchmarkProfileBuild)$'
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
