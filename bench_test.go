@@ -476,7 +476,7 @@ func BenchmarkCheckpointJournalAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	j, _, err := fabric.OpenJournal(b.TempDir()+"/journal.jsonl", job.Fingerprint(), job.Cells())
+	j, _, err := fabric.OpenJournal(b.TempDir()+"/journal.jsonl", job)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -500,12 +500,13 @@ func BenchmarkCheckpointJournalReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := b.TempDir() + "/journal.jsonl"
-	j, _, err := fabric.OpenJournal(path, job.Fingerprint(), job.Cells())
+	j, _, err := fabric.OpenJournal(path, job)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cell := harness.Cell{Bug: "moby_28462", Tool: "goat-D2", Found: true, MinExecs: 3, Verdict: "PDL-2"}
 	for seq := 0; seq < job.Cells(); seq++ {
+		u, _ := job.Unit(seq)
+		cell := harness.Cell{Bug: u.Bug, Tool: u.Tool, Found: true, MinExecs: 3, Verdict: "PDL-2"}
 		if err := j.Append(seq, cell); err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +515,7 @@ func BenchmarkCheckpointJournalReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, done, err := fabric.OpenJournal(path, job.Fingerprint(), job.Cells())
+		j, done, err := fabric.OpenJournal(path, job)
 		if err != nil {
 			b.Fatal(err)
 		}

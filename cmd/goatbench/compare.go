@@ -141,7 +141,9 @@ func runCompare(reportPath, baselinePath string, tolerance float64, update bool)
 		tolerance = 0.25
 	}
 
-	regressed := 0
+	// A baseline benchmark absent from the report fails the guard: a
+	// renamed, deleted or crashed benchmark must not pass silently.
+	regressed, missing := 0, 0
 	compareMetric := func(metric string, want, now map[string]float64) {
 		var names []string
 		for name := range want {
@@ -153,7 +155,8 @@ func runCompare(reportPath, baselinePath string, tolerance float64, update bool)
 			w := want[name]
 			n, ok := now[name]
 			if !ok {
-				fmt.Printf("%-36s %14.0f %14s %9s\n", name, w, "-", "missing")
+				fmt.Printf("%-36s %14.0f %14s %9s  MISSING\n", name, w, "-", "-")
+				missing++
 				continue
 			}
 			var delta float64
@@ -176,8 +179,13 @@ func runCompare(reportPath, baselinePath string, tolerance float64, update bool)
 	if len(base.AllocsPerOp) > 0 {
 		compareMetric("allocs/op", base.AllocsPerOp, got.allocsPerOp)
 	}
+	if missing > 0 {
+		fmt.Printf("%d baseline benchmark metric(s) missing from the report\n", missing)
+	}
 	if regressed > 0 {
 		fmt.Printf("%d benchmark metric(s) regressed more than %.0f%%\n", regressed, tolerance*100)
+	}
+	if missing > 0 || regressed > 0 {
 		return 1
 	}
 	fmt.Printf("all benchmarks within %.0f%% of baseline\n", tolerance*100)

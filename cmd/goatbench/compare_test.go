@@ -172,3 +172,26 @@ func TestUpdateBaselineRoundTrips(t *testing.T) {
 		t.Fatalf("self-comparison after update: exit %d, want 0", code)
 	}
 }
+
+func TestCompareMissingBenchmarkFails(t *testing.T) {
+	dir := t.TempDir()
+	// BenchmarkB is in the baseline but absent from the report: the guard
+	// must fail even though BenchmarkA is within tolerance.
+	report := writeFile(t, dir, "bench.txt", "BenchmarkA-8 100 100 ns/op 512 B/op 8 allocs/op\n")
+	base := writeFile(t, dir, "base.json", baselineJSON(t, baseline{
+		Tolerance: 0.25,
+		NsPerOp:   map[string]float64{"BenchmarkA": 100, "BenchmarkB": 100},
+	}))
+	if code := runCompare(report, base, 0, false); code != 1 {
+		t.Fatalf("baseline benchmark missing from the report: exit %d, want 1", code)
+	}
+	// The same holds for an allocs/op entry the report lacks.
+	base = writeFile(t, dir, "base-allocs.json", baselineJSON(t, baseline{
+		Tolerance:   0.25,
+		NsPerOp:     map[string]float64{"BenchmarkA": 100},
+		AllocsPerOp: map[string]float64{"BenchmarkA": 8, "BenchmarkB": 8},
+	}))
+	if code := runCompare(report, base, 0, false); code != 1 {
+		t.Fatalf("baseline allocs entry missing from the report: exit %d, want 1", code)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,6 +226,76 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 	got := coord2.Table()
 	if got.String() != want.String() {
+		t.Fatalf("resumed table differs from sequential:\n--- fabric ---\n%s--- sequential ---\n%s", got, want)
+	}
+}
+
+// TestCoordinatorRestartRerunsBodylessRecords restarts a coordinator on
+// a journal whose records decode but do not belong to their unit: {},
+// null and {"seq":2} decode to an empty cell, and one record names the
+// wrong bug. None may be readmitted as a finished cell; those units
+// re-run, the one valid record is kept, and the merged table equals the
+// sequential harness's.
+func TestCoordinatorRestartRerunsBodylessRecords(t *testing.T) {
+	kernels := kernelsByID(t, "moby_28462", "etcd_6873", "grpc_660")
+	tools := []harness.Spec{
+		{Name: "goat-D0", Detector: detect.Goat{}, NeedTrace: true},
+		{Name: "builtin", Detector: detect.Builtin{}},
+	}
+	cfg := harness.Config{MaxExecs: 4, BaseSeed: 5, Kernels: kernels, Tools: tools}
+	want := harness.RunTableIV(cfg)
+	job, err := NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/campaign.jsonl"
+	j, _, err := OpenJournal(path, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kept = 4 // the one valid record's unit
+	if err := j.Append(kept, want.Rows[kept/len(tools)].Cells[kept%len(tools)]); err != nil {
+		t.Fatal(err)
+	}
+	wrong := want.Rows[0].Cells[1]
+	wrong.Bug = "etcd_6873" // unit 1 is moby_28462 × builtin
+	if err := j.Append(1, wrong); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("{}\nnull\n{\"seq\":2}\n")
+	f.Close()
+
+	coord, err := NewCoordinator(CoordinatorConfig{Job: job, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if st := coord.Snapshot(); st.Done != 1 || st.Pending != job.Cells()-1 {
+		t.Fatalf("resumed status = %+v, want 1 done / %d pending", st, job.Cells()-1)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	evaluated := map[int]bool{}
+	w := &Worker{Coord: srv.URL, Name: "w", OnCell: func(u Unit, _ harness.Cell) { evaluated[u.Seq] = true }}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []int{0, 1, 2} {
+		if !evaluated[seq] {
+			t.Errorf("unit %d named only by a bodyless or foreign record was not re-run", seq)
+		}
+	}
+	if evaluated[kept] {
+		t.Errorf("valid journaled unit %d was re-run", kept)
+	}
+	if got := coord.Table(); got.String() != want.String() {
 		t.Fatalf("resumed table differs from sequential:\n--- fabric ---\n%s--- sequential ---\n%s", got, want)
 	}
 }

@@ -141,7 +141,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c.remaining = n
 	if cfg.JournalPath != "" {
-		j, done, err := OpenJournal(cfg.JournalPath, cfg.Job.Fingerprint(), n)
+		j, done, err := OpenJournal(cfg.JournalPath, cfg.Job)
 		if err != nil {
 			return nil, err
 		}

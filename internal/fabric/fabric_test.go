@@ -17,7 +17,7 @@ import (
 )
 
 // smallJob is a 2-kernel × 2-tool matrix over real suite kernels.
-func smallJob(t *testing.T) JobSpec {
+func smallJob(t testing.TB) JobSpec {
 	t.Helper()
 	job, err := NewJob(harness.Config{
 		MaxExecs: 3,
@@ -33,7 +33,7 @@ func smallJob(t *testing.T) JobSpec {
 	return job
 }
 
-func kernelsByID(t *testing.T, ids ...string) []goker.Kernel {
+func kernelsByID(t testing.TB, ids ...string) []goker.Kernel {
 	t.Helper()
 	var out []goker.Kernel
 	for _, id := range ids {
@@ -104,9 +104,8 @@ func TestJobValidateAndFingerprint(t *testing.T) {
 func TestJournalResume(t *testing.T) {
 	path := t.TempDir() + "/journal.jsonl"
 	job := smallJob(t)
-	fp := job.Fingerprint()
 
-	j, done, err := OpenJournal(path, fp, job.Cells())
+	j, done, err := OpenJournal(path, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestJournalResume(t *testing.T) {
 	f.WriteString(`{"seq":1,"cell":{"Bug":"torn`)
 	f.Close()
 
-	j2, done2, err := OpenJournal(path, fp, job.Cells())
+	j2, done2, err := OpenJournal(path, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	j3, done3, err := OpenJournal(path, fp, job.Cells())
+	j3, done3, err := OpenJournal(path, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,9 @@ func TestJournalResume(t *testing.T) {
 	}
 
 	// A journal from a different job must be rejected.
-	if _, _, err := OpenJournal(path, "deadbeefdeadbeef", job.Cells()); err == nil {
+	other := job
+	other.MaxExecs++
+	if _, _, err := OpenJournal(path, other); err == nil {
 		t.Fatal("foreign journal accepted")
 	}
 }
@@ -269,7 +270,7 @@ func TestCompleteIsIdempotent(t *testing.T) {
 	}
 	coord.Close()
 
-	_, done, err := OpenJournal(path, job.Fingerprint(), job.Cells())
+	_, done, err := OpenJournal(path, job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,16 @@ type journalRecord struct {
 	Cell harness.Cell `json:"cell"`
 }
 
-// OpenJournal opens (or creates) the checkpoint journal for a job with
-// the given fingerprint and matrix size, returning the journal positioned
-// for appending plus every cell already checkpointed in it. Duplicate and
-// out-of-range records are ignored, as is a torn trailing line.
-func OpenJournal(path, fingerprint string, cells int) (*Journal, map[int]harness.Cell, error) {
+// OpenJournal opens (or creates) the checkpoint journal for a job,
+// returning the journal positioned for appending plus every cell already
+// checkpointed in it. A record is readmitted only when its cell names the
+// bug and tool of job.Unit(seq); out-of-range records, records for
+// another unit and bodyless ones ({}, null, {"seq":2} decode to an empty
+// cell) are skipped, leaving their unit pending. Only the first
+// readmitted record of a unit counts, and a torn trailing line is
+// ignored.
+func OpenJournal(path string, job JobSpec) (*Journal, map[int]harness.Cell, error) {
+	fingerprint, cells := job.Fingerprint(), job.Cells()
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -106,7 +111,7 @@ func OpenJournal(path, fingerprint string, cells int) (*Journal, map[int]harness
 			break
 		}
 		valid += int64(len(line))
-		if rec.Seq < 0 || rec.Seq >= cells {
+		if u, err := job.Unit(rec.Seq); err != nil || rec.Cell.Bug != u.Bug || rec.Cell.Tool != u.Tool {
 			continue
 		}
 		if _, dup := done[rec.Seq]; dup {
